@@ -1,59 +1,31 @@
 #include "src/apps/app_io.h"
 
-#include "src/core/invariant.h"
-#include "src/stats/slo.h"
+#include <limits>
 
 namespace daredevil {
 
 AppIoContext::AppIoContext(Machine* machine, StorageStack* stack, Tenant* tenant,
                            uint32_t nsid)
     : machine_(machine),
-      stack_(stack),
       tenant_(tenant),
-      nsid_(nsid),
-      next_id_(tenant->id.value() << 32) {}
+      io_(machine, stack, tenant, nsid, /*measure_start=*/0,
+          /*measure_end=*/std::numeric_limits<Tick>::max(),
+          &AppIoContext::OnDelivered) {}
 
-AppIoContext::Op* AppIoContext::AllocOp() {
-  if (!free_list_.empty()) {
-    Op* op = free_list_.back();
-    free_list_.pop_back();
-    return op;
+void AppIoContext::OnDelivered(void* /*self*/, TenantIo::Slot& slot) {
+  // The slot is already free: move the callback out first, since it may
+  // issue the next op into this very slot.
+  Callback done = std::move(slot.done);
+  if (done) {
+    done();
   }
-  auto owned = std::make_unique<Op>();
-  Op* op = owned.get();
-  op->ctx = this;
-  op->rq.tenant = tenant_;
-  op->rq.on_complete = [op](Request* r) {
-    AppIoContext* ctx = op->ctx;
-    --ctx->inflight_;
-    if (ctx->slo_ != nullptr) {
-      ctx->slo_->Record(ctx->machine_->now(),
-                        r->complete_time - r->issue_time,
-                        r->status == IoStatus::kOk);
-    }
-    Callback done = std::move(op->done);
-    op->done = nullptr;
-    ctx->free_list_.push_back(op);
-    if (done) {
-      done();
-    }
-  };
-  pool_.push_back(std::move(owned));
-  return op;
 }
 
 uint64_t AppIoContext::Issue(uint64_t lba, uint32_t pages, bool is_write,
                              bool sync, bool meta, bool flush, bool fua,
                              Callback done) {
-  DD_CHECK(pages >= 1) << "tenant " << tenant_->id << " issued an empty I/O";
-  DD_CHECK(lba + pages <= namespace_pages())
-      << "tenant " << tenant_->id << " I/O [" << lba << ", " << lba + pages
-      << ") overruns namespace " << nsid_ << " (" << namespace_pages()
-      << " pages)";
-  Op* op = AllocOp();
-  Request& rq = op->rq;
-  rq.id = ++next_id_;
-  rq.nsid = nsid_;
+  TenantIo::Slot* slot = io_.Acquire();
+  Request& rq = slot->rq;
   rq.lba = Lba{lba};
   rq.pages = pages;
   rq.is_write = is_write;
@@ -61,30 +33,14 @@ uint64_t AppIoContext::Issue(uint64_t lba, uint32_t pages, bool is_write,
   rq.is_meta = meta;
   rq.is_flush = flush;
   rq.is_fua = fua;
-  rq.ResetTimeline();  // pooled request: clear the previous run's stamps
-  rq.issue_time = machine_->now();
-  rq.routed_nsq = -1;
-  rq.submit_core = tenant_->core;
-  op->done = std::move(done);
-
-  ++inflight_;
+  slot->done = std::move(done);
   if (flush) {
     ++flushes_;  // barriers move no data: not a write, no pages transferred
   } else {
     (is_write ? writes_ : reads_) += 1;
     pages_ += pages;
   }
-
-  const TickDuration issue_cost =
-      stack_->costs().syscall +
-      static_cast<Tick>(pages) * stack_->costs().per_page_user;
-  machine_->Post(tenant_->core, WorkLevel::kUser, issue_cost,
-                 [this, op]() {
-                   op->rq.submit_core = tenant_->core;
-                   stack_->SubmitAsync(&op->rq);
-                 },
-                 tenant_->id);
-  return rq.id;
+  return io_.Issue(&rq);
 }
 
 uint64_t AppIoContext::Read(uint64_t lba, uint32_t pages, Callback done) {

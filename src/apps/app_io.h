@@ -6,14 +6,10 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <vector>
 
-#include "src/stack/storage_stack.h"
+#include "src/stack/tenant_io.h"
 
 namespace daredevil {
-
-class SloTenantState;  // src/stats/slo.h
 
 // What application recovery sees at a namespace-relative page after a crash.
 // Tests close this over the device's persisted snapshot
@@ -51,48 +47,33 @@ class AppIoContext {
 
   Tenant& tenant() { return *tenant_; }
   Machine& machine() { return *machine_; }
-  uint32_t nsid() const { return nsid_; }
-  uint64_t namespace_pages() const {
-    return stack_->device().NamespacePages(nsid_);
-  }
+  uint32_t nsid() const { return io_.nsid(); }
+  uint64_t namespace_pages() const { return io_.namespace_pages(); }
 
   uint64_t reads_issued() const { return reads_; }
   uint64_t writes_issued() const { return writes_; }
   uint64_t flushes_issued() const { return flushes_; }
   uint64_t pages_transferred() const { return pages_; }
-  int inflight() const { return inflight_; }
+  int inflight() const { return io_.inflight(); }
+  // Completion accounting over every op since construction.
+  const TenantIo& io() const { return io_; }
 
   // Optional SLO observer (owned by the scenario's SloTracker; null is fine).
   // Every completed op is reported with its end-to-end latency.
-  void AttachSlo(SloTenantState* slo) { slo_ = slo; }
+  void AttachSlo(SloTenantState* slo) { io_.AttachSlo(slo); }
 
  private:
-  struct Op {
-    Request rq;
-    Callback done;
-    AppIoContext* ctx = nullptr;
-  };
-
+  static void OnDelivered(void* self, TenantIo::Slot& slot);
   uint64_t Issue(uint64_t lba, uint32_t pages, bool is_write, bool sync,
                  bool meta, bool flush, bool fua, Callback done);
-  Op* AllocOp();
 
   Machine* machine_;
-  StorageStack* stack_;
   Tenant* tenant_;
-  uint32_t nsid_;
-  uint64_t next_id_;
-  // Ops embed a pooled Request; keep it compact (see the workload pools).
-  static_assert(sizeof(Request) <= 256,
-                "Request outgrew its pooled-allocation budget");
-  std::vector<std::unique_ptr<Op>> pool_;
-  std::vector<Op*> free_list_;
+  TenantIo io_;
   uint64_t reads_ = 0;
   uint64_t writes_ = 0;
   uint64_t flushes_ = 0;
   uint64_t pages_ = 0;
-  int inflight_ = 0;
-  SloTenantState* slo_ = nullptr;
 };
 
 }  // namespace daredevil

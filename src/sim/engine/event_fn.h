@@ -91,7 +91,9 @@ class EventFn {
     // Trivially copyable callable: relocation is a straight memcpy and
     // destruction a no-op, so moves skip the indirect calls entirely. Most
     // scheduling lambdas ([this] plus a few scalars) qualify; wrapped
-    // std::functions take the out-of-line path.
+    // std::functions take the out-of-line path. So does a capture-less
+    // lambda: it never writes its storage, so the memcpy would only copy
+    // uninitialized bytes.
     bool trivial;
   };
 
@@ -104,8 +106,9 @@ class EventFn {
       from->~D();
     }
     static void Destroy(void* storage) { static_cast<D*>(storage)->~D(); }
-    static constexpr Ops kOps = {&Invoke, &Relocate, &Destroy,
-                                 std::is_trivially_copyable_v<D>};
+    static constexpr Ops kOps = {
+        &Invoke, &Relocate, &Destroy,
+        std::is_trivially_copyable_v<D> && !std::is_empty_v<D>};
   };
 
   // Takes this->ops_'s callable out of `other` (ops_ already copied).

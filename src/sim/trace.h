@@ -1,6 +1,6 @@
 // Lightweight tracepoint infrastructure (the simulation's analogue of kernel
-// tracepoints/blktrace): components record fixed-size events into a bounded
-// ring buffer that tools dump as CSV. Recording is a no-op when no TraceLog
+// tracepoints/blktrace): components record fixed-size events into a
+// BoundedRing that tools dump as CSV. Recording is a no-op when no TraceLog
 // is attached, so the hot paths stay clean.
 #ifndef DAREDEVIL_SRC_SIM_TRACE_H_
 #define DAREDEVIL_SRC_SIM_TRACE_H_
@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "src/sim/bounded_ring.h"
 #include "src/sim/clock.h"
 
 namespace daredevil {
@@ -89,16 +90,15 @@ class TraceLog {
               int64_t b = 0);
 
   // Number of retained events (oldest are dropped once full).
-  size_t size() const { return events_.size(); }
-  size_t capacity() const { return capacity_; }
-  uint64_t total_recorded() const { return total_; }
-  uint64_t dropped() const { return dropped_; }
+  size_t size() const { return ring_.size(); }
+  uint64_t total_recorded() const { return ring_.total_pushed(); }
+  uint64_t dropped() const { return ring_.dropped(); }
   uint64_t CountOf(TraceCategory category) const {
     return counts_[static_cast<int>(category)];
   }
 
   // Events in chronological order.
-  std::vector<TraceEvent> Events() const;
+  std::vector<TraceEvent> Events() const { return ring_.Items(); }
 
   // "time_ns,category,id,a,b" rows with a header line.
   std::string ToCsv() const;
@@ -106,12 +106,7 @@ class TraceLog {
   void Clear();
 
  private:
-  size_t capacity_;
-  std::vector<TraceEvent> events_;  // ring
-  size_t head_ = 0;                 // next write slot when full
-  bool full_ = false;
-  uint64_t total_ = 0;
-  uint64_t dropped_ = 0;
+  BoundedRing<TraceEvent> ring_;
   uint64_t counts_[kNumTraceCategories] = {0};
 };
 

@@ -13,9 +13,6 @@ namespace daredevil {
 
 // --- RequestTimelineLog ----------------------------------------------------
 
-RequestTimelineLog::RequestTimelineLog(size_t capacity)
-    : capacity_(capacity > 0 ? capacity : 1) {}
-
 void RequestTimelineLog::Append(const Request& rq, int irq_core, int ncq) {
   if (!rq.HasDeviceTimeline()) {
     return;  // split parents complete via their children
@@ -44,35 +41,7 @@ void RequestTimelineLog::Append(const Request& rq, int irq_core, int ncq) {
   rec.drain = rq.drain_time;
   rec.complete = rq.complete_time;
 
-  ++total_;
-  if (records_.size() < capacity_) {
-    records_.push_back(rec);
-    return;
-  }
-  full_ = true;
-  ++dropped_;
-  records_[head_] = rec;
-  head_ = (head_ + 1) % capacity_;
-}
-
-std::vector<RequestRecord> RequestTimelineLog::Records() const {
-  if (!full_) {
-    return records_;
-  }
-  std::vector<RequestRecord> out;
-  out.reserve(records_.size());
-  for (size_t i = 0; i < records_.size(); ++i) {
-    out.push_back(records_[(head_ + i) % records_.size()]);
-  }
-  return out;
-}
-
-void RequestTimelineLog::Clear() {
-  records_.clear();
-  head_ = 0;
-  full_ = false;
-  total_ = 0;
-  dropped_ = 0;
+  ring_.push_back(rec);
 }
 
 // --- Event building --------------------------------------------------------

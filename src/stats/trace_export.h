@@ -31,6 +31,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/sim/bounded_ring.h"
 #include "src/sim/trace.h"
 #include "src/stack/request.h"
 
@@ -71,30 +72,23 @@ struct RequestRecord {
   Tick complete = 0;
 };
 
-// Bounded append-only log of completed-request records (oldest dropped once
-// full, like TraceLog). Fed by the storage stack's completion delivery path.
+// Bounded log of completed-request records (a BoundedRing, like TraceLog),
+// fed by the storage stack's completion delivery path.
 class RequestTimelineLog {
  public:
-  explicit RequestTimelineLog(size_t capacity = 1 << 20);
+  explicit RequestTimelineLog(size_t capacity = 1 << 20) : ring_(capacity) {}
 
   // Copies the request's timeline. Requests without a full device timeline
   // (split parents, which complete via their children) are skipped.
   void Append(const Request& rq, int irq_core, int ncq);
 
   // Records in completion order (chronological by `complete`).
-  std::vector<RequestRecord> Records() const;
-  size_t size() const { return records_.size(); }
-  uint64_t total_recorded() const { return total_; }
-  uint64_t dropped() const { return dropped_; }
-  void Clear();
+  std::vector<RequestRecord> Records() const { return ring_.Items(); }
+  uint64_t total_recorded() const { return ring_.total_pushed(); }
+  uint64_t dropped() const { return ring_.dropped(); }
 
  private:
-  size_t capacity_;
-  std::vector<RequestRecord> records_;  // ring
-  size_t head_ = 0;
-  bool full_ = false;
-  uint64_t total_ = 0;
-  uint64_t dropped_ = 0;
+  BoundedRing<RequestRecord> ring_;
 };
 
 // --- Chrome Trace Event Format export -------------------------------------

@@ -1,8 +1,5 @@
 #include "src/workload/fio_job.h"
 
-#include "src/core/invariant.h"
-#include "src/stats/slo.h"
-
 namespace daredevil {
 
 FioJob::FioJob(Machine* machine, StorageStack* stack, const FioJobSpec& spec,
@@ -11,42 +8,26 @@ FioJob::FioJob(Machine* machine, StorageStack* stack, const FioJobSpec& spec,
     : machine_(machine),
       stack_(stack),
       spec_(spec),
+      tenant_{.id = TenantId{tenant_id},
+              .name = spec.name,
+              .group = spec.group,
+              .ionice = spec.ionice,
+              .core = core,
+              .primary_nsid = spec.nsid},
       rng_(rng),
-      measure_start_(measure_start),
       measure_end_(measure_end),
-      next_rq_id_(tenant_id << 32) {
-  tenant_.id = TenantId{tenant_id};
-  tenant_.name = spec.name;
-  tenant_.group = spec.group;
-  tenant_.ionice = spec.ionice;
-  tenant_.core = core;
-  tenant_.primary_nsid = spec.nsid;
-
-  const uint64_t ns_pages = stack_->device().NamespacePages(spec_.nsid);
-  DD_CHECK(ns_pages >= spec_.pages)
-      << "job " << spec_.name << " working set (" << spec_.pages
-      << " pages) exceeds namespace " << spec_.nsid << " (" << ns_pages
-      << " pages)";
-  pool_.reserve(static_cast<size_t>(spec_.iodepth));
-  free_list_.reserve(static_cast<size_t>(spec_.iodepth));
-  for (int i = 0; i < spec_.iodepth; ++i) {
-    auto rq = std::make_unique<Request>();
-    rq->tenant = &tenant_;
-    rq->on_complete = [this](Request* r) { OnComplete(r); };
-    free_list_.push_back(rq.get());
-    pool_.push_back(std::move(rq));
-  }
+      io_(machine, stack, &tenant_, spec.nsid, measure_start, measure_end,
+          &FioJob::OnDelivered, this) {
+  io_.Reserve(spec_.iodepth);
   // Streaming jobs start at a random aligned offset so concurrent T-tenants
-  // do not all hammer the same flash chips.
-  seq_lba_ = rng_.NextBelow(ns_pages / spec_.pages) * spec_.pages;
+  // do not all hammer the same flash chips. Every job draws it, so the RNG
+  // stream does not depend on the access pattern.
+  const uint64_t offsets = io_.namespace_pages() / spec_.pages;
+  seq_lba_ = rng_.NextBelow(offsets > 0 ? offsets : 1) * spec_.pages;
 }
 
 bool FioJob::Stopped() const {
-  const Tick now = machine_->now();
-  if (spec_.stop_time >= 0 && now >= spec_.stop_time) {
-    return true;
-  }
-  return false;
+  return spec_.stop_time >= 0 && machine_->now() >= spec_.stop_time;
 }
 
 void FioJob::Start() {
@@ -65,81 +46,28 @@ void FioJob::Start() {
 }
 
 void FioJob::IssueOne() {
-  if (free_list_.empty() || Stopped()) {
+  if (!io_.HasFree() || Stopped()) {
     return;
   }
-  Request* rq = free_list_.back();
-  free_list_.pop_back();
-  ++inflight_;
-  ++issued_;
-  if (issued_cell_ != nullptr) {
-    ++*issued_cell_;
-  }
-
-  rq->id = ++next_rq_id_;
-  rq->nsid = spec_.nsid;
-  rq->pages = spec_.pages;
-  rq->is_write = spec_.is_write;
-  rq->is_sync = spec_.sync_prob > 0.0 && rng_.NextBool(spec_.sync_prob);
-  rq->is_meta = spec_.meta_prob > 0.0 && rng_.NextBool(spec_.meta_prob);
-  const uint64_t ns_pages = stack_->device().NamespacePages(spec_.nsid);
+  Request& rq = io_.Acquire()->rq;
+  rq.pages = spec_.pages;
+  rq.is_write = spec_.is_write;
+  rq.is_sync = spec_.sync_prob > 0.0 && rng_.NextBool(spec_.sync_prob);
+  rq.is_meta = spec_.meta_prob > 0.0 && rng_.NextBool(spec_.meta_prob);
   if (spec_.random) {
-    rq->lba = Lba{rng_.NextBelow(ns_pages - spec_.pages + 1)};
+    rq.lba = io_.RandomLba(rng_, spec_.pages);
   } else {
-    rq->lba = Lba{seq_lba_};
+    rq.lba = Lba{seq_lba_};
     seq_lba_ += spec_.pages;
-    if (seq_lba_ + spec_.pages > ns_pages) {
+    if (seq_lba_ + spec_.pages > io_.namespace_pages()) {
       seq_lba_ = 0;
     }
   }
-  rq->ResetTimeline();  // pooled request: clear the previous run's stamps
-  rq->issue_time = machine_->now();
-  rq->routed_nsq = -1;
-
-  // The syscall runs in user context on the tenant's current core, then the
-  // stack takes over in kernel context.
-  rq->submit_core = tenant_.core;
-  const TickDuration issue_cost =
-      stack_->costs().syscall +
-      static_cast<Tick>(spec_.pages) * stack_->costs().per_page_user;
-  machine_->Post(tenant_.core, WorkLevel::kUser, issue_cost,
-                 [this, rq]() {
-                   rq->submit_core = tenant_.core;
-                   stack_->SubmitAsync(rq);
-                 },
-                 tenant_.id);
+  io_.Issue(&rq);
 }
 
-void FioJob::OnComplete(Request* rq) {
-  --inflight_;
-  ++completed_;
-  if (rq->status != IoStatus::kOk) {
-    // Fault runs only: the stack exhausted its retries and delivered the
-    // failure. The request still counts as completed (it left the stack).
-    ++errored_;
-  }
-  if (completed_cell_ != nullptr) {
-    ++*completed_cell_;
-  }
-  const Tick latency = rq->complete_time - rq->issue_time;
-  const Tick now = machine_->now();
-  if (now >= measure_start_ && now < measure_end_) {
-    latency_.Record(latency);
-    stages_.Record(*rq);
-    ++ios_;
-    bytes_ += rq->bytes();
-  }
-  if (latency_series_ != nullptr) {
-    latency_series_->Record(now, latency);
-  }
-  if (bytes_series_ != nullptr) {
-    bytes_series_->Record(now, static_cast<int64_t>(rq->bytes()));
-  }
-  if (slo_ != nullptr) {
-    slo_->Record(now, latency, rq->status == IoStatus::kOk);
-  }
-  free_list_.push_back(rq);
-  ScheduleNextIssue();
+void FioJob::OnDelivered(void* self, TenantIo::Slot& /*slot*/) {
+  static_cast<FioJob*>(self)->ScheduleNextIssue();
 }
 
 void FioJob::ScheduleNextIssue() {

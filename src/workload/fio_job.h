@@ -4,19 +4,12 @@
 #ifndef DAREDEVIL_SRC_WORKLOAD_FIO_JOB_H_
 #define DAREDEVIL_SRC_WORKLOAD_FIO_JOB_H_
 
-#include <memory>
 #include <string>
-#include <vector>
 
 #include "src/sim/rng.h"
-#include "src/stack/storage_stack.h"
-#include "src/stats/histogram.h"
-#include "src/stats/metrics.h"
-#include "src/stats/time_series.h"
+#include "src/stack/tenant_io.h"
 
 namespace daredevil {
-
-class SloTenantState;  // src/stats/slo.h
 
 struct FioJobSpec {
   std::string name;
@@ -41,30 +34,28 @@ struct FioJobSpec {
   TickDuration migrate_interval{0};  // >0: hop cores periodically (Fig 13)
 };
 
+// The specs are built in one initializer: GCC 12 at -O3 reports a false
+// -Wrestrict on assigning or prepending to the default-constructed strings.
 inline FioJobSpec LTenantSpec(int index, uint32_t nsid = 0) {
-  FioJobSpec spec;
-  spec.name = "L" + std::to_string(index);
-  spec.group = "L";
-  spec.ionice = IoniceClass::kRealtime;
-  spec.nsid = nsid;
-  spec.pages = 1;  // 4KB
-  spec.iodepth = 1;
-  spec.is_write = false;
-  spec.random = true;
-  return spec;
+  return FioJobSpec{.name = std::string("L").append(std::to_string(index)),
+                    .group = "L",
+                    .ionice = IoniceClass::kRealtime,
+                    .nsid = nsid,
+                    .pages = 1,  // 4KB
+                    .iodepth = 1,
+                    .is_write = false,
+                    .random = true};
 }
 
 inline FioJobSpec TTenantSpec(int index, uint32_t nsid = 0) {
-  FioJobSpec spec;
-  spec.name = "T" + std::to_string(index);
-  spec.group = "T";
-  spec.ionice = IoniceClass::kBestEffort;
-  spec.nsid = nsid;
-  spec.pages = 32;  // 128KB
-  spec.iodepth = 32;
-  spec.is_write = true;
-  spec.random = false;  // streaming
-  return spec;
+  return FioJobSpec{.name = std::string("T").append(std::to_string(index)),
+                    .group = "T",
+                    .ionice = IoniceClass::kBestEffort,
+                    .nsid = nsid,
+                    .pages = 32,  // 128KB
+                    .iodepth = 32,
+                    .is_write = true,
+                    .random = false};  // streaming
 }
 
 class FioJob {
@@ -81,38 +72,29 @@ class FioJob {
   const FioJobSpec& spec() const { return spec_; }
 
   // Measured within [measure_start, measure_end) only.
-  const Histogram& latency() const { return latency_; }
+  const Histogram& latency() const { return io_.latency(); }
   // Per-stage lifecycle breakdown of the measured requests.
-  const StageBreakdown& stages() const { return stages_; }
-  uint64_t measured_ios() const { return ios_; }
-  uint64_t measured_bytes() const { return bytes_; }
-  uint64_t total_issued() const { return issued_; }
-  uint64_t total_completed() const { return completed_; }
+  const StageBreakdown& stages() const { return io_.stages(); }
+  uint64_t measured_ios() const { return io_.measured_ios(); }
+  uint64_t measured_bytes() const { return io_.measured_bytes(); }
+  uint64_t total_issued() const { return io_.issued(); }
+  uint64_t total_completed() const { return io_.completed(); }
   // Completions delivered with status != kOk (fault-injection runs only).
-  uint64_t total_errored() const { return errored_; }
-  int inflight() const { return inflight_; }
+  uint64_t total_errored() const { return io_.errored(); }
+  int inflight() const { return io_.inflight(); }
 
-  // Optional whole-run series (shared per group; owned by the scenario).
+  // Optional whole-run series, SLO observer and group counters; see
+  // TenantIo.
   void AttachSeries(TimeSeries* latency_series, TimeSeries* bytes_series) {
-    latency_series_ = latency_series;
-    bytes_series_ = bytes_series;
+    io_.AttachSeries(latency_series, bytes_series);
   }
-
-  // Optional SLO observer (owned by the scenario's SloTracker; null is fine
-  // and means this tenant matched no spec). Fed one call per delivery.
-  void AttachSlo(SloTenantState* slo) { slo_ = slo; }
-
-  // Registers this job's traffic into group-aggregated counters
-  // ("workload.<group>.issued" / ".completed"); jobs of the same group share
-  // the cells by name.
-  void AttachMetrics(MetricsRegistry* registry) {
-    issued_cell_ = registry->Counter("workload." + spec_.group + ".issued");
-    completed_cell_ = registry->Counter("workload." + spec_.group + ".completed");
-  }
+  void AttachSlo(SloTenantState* slo) { io_.AttachSlo(slo); }
+  void AttachMetrics(MetricsRegistry* registry) { io_.AttachMetrics(registry); }
 
  private:
   void IssueOne();
-  void OnComplete(Request* rq);
+  // Closed loop: every delivery frees a slot for the next issue.
+  static void OnDelivered(void* self, TenantIo::Slot& slot);
   void ScheduleNextIssue();
   void ArmIoniceUpdate();
   void ArmMigration();
@@ -123,32 +105,9 @@ class FioJob {
   FioJobSpec spec_;
   Tenant tenant_;
   Rng rng_;
-  Tick measure_start_;
   Tick measure_end_;
-
-  // Pooled and recycled across the whole run: keep the request compact so a
-  // deep pool stays cache-resident (growth here is a hot-path regression).
-  static_assert(sizeof(Request) <= 256,
-                "Request outgrew its pooled-allocation budget");
-  std::vector<std::unique_ptr<Request>> pool_;
-  std::vector<Request*> free_list_;
-  uint64_t next_rq_id_;
+  TenantIo io_;
   uint64_t seq_lba_ = 0;
-
-  Histogram latency_;
-  StageBreakdown stages_;
-  uint64_t ios_ = 0;
-  uint64_t bytes_ = 0;
-  uint64_t issued_ = 0;
-  uint64_t completed_ = 0;
-  uint64_t errored_ = 0;
-  int inflight_ = 0;
-  uint64_t* issued_cell_ = nullptr;
-  uint64_t* completed_cell_ = nullptr;
-
-  TimeSeries* latency_series_ = nullptr;
-  TimeSeries* bytes_series_ = nullptr;
-  SloTenantState* slo_ = nullptr;
 };
 
 }  // namespace daredevil

@@ -6,25 +6,20 @@
 #ifndef DAREDEVIL_SRC_WORKLOAD_OPEN_LOOP_H_
 #define DAREDEVIL_SRC_WORKLOAD_OPEN_LOOP_H_
 
-#include <memory>
 #include <string>
-#include <vector>
 
 #include "src/sim/rng.h"
-#include "src/stack/storage_stack.h"
-#include "src/stats/histogram.h"
-#include "src/stats/metrics.h"
+#include "src/stack/tenant_io.h"
 
 namespace daredevil {
 
+// Every open-loop request is a random read of `pages` pages.
 struct OpenLoopSpec {
   std::string name;
   std::string group = "OL";
   IoniceClass ionice = IoniceClass::kRealtime;
   uint32_t nsid = 0;
   uint32_t pages = 1;
-  bool is_write = false;
-  bool random = true;
 
   double iops = 10000;      // mean arrival rate
   // Burstiness: with probability burst_prob an arrival starts a burst of
@@ -49,49 +44,30 @@ class OpenLoopJob {
 
   Tenant& tenant() { return tenant_; }
   const OpenLoopSpec& spec() const { return spec_; }
-  const Histogram& latency() const { return latency_; }
+  const Histogram& latency() const { return io_.latency(); }
   // Per-stage lifecycle breakdown of the measured requests.
-  const StageBreakdown& stages() const { return stages_; }
-  uint64_t measured_ios() const { return ios_; }
+  const StageBreakdown& stages() const { return io_.stages(); }
+  uint64_t measured_ios() const { return io_.measured_ios(); }
   uint64_t total_arrivals() const { return arrivals_; }
   uint64_t dropped_arrivals() const { return dropped_; }
-  uint64_t total_completed() const { return completed_; }
+  uint64_t total_completed() const { return io_.completed(); }
   // Completions delivered with status != kOk (fault-injection runs only).
-  uint64_t total_errored() const { return errored_; }
-  int outstanding() const { return outstanding_; }
+  uint64_t total_errored() const { return io_.errored(); }
+  int outstanding() const { return io_.inflight(); }
 
  private:
   void ScheduleNextArrival();
   void Arrive(int burst_remaining);
-  void IssueOne();
-  void OnComplete(Request* rq);
-  Request* AllocRequest();
 
   Machine* machine_;
   StorageStack* stack_;
   OpenLoopSpec spec_;
   Tenant tenant_;
   Rng rng_;
-  Tick measure_start_;
   Tick measure_end_;
-
-  // Pooled and recycled across the whole run: keep the request compact so a
-  // deep pool stays cache-resident (growth here is a hot-path regression).
-  static_assert(sizeof(Request) <= 256,
-                "Request outgrew its pooled-allocation budget");
-  std::vector<std::unique_ptr<Request>> pool_;
-  std::vector<Request*> free_list_;
-  uint64_t next_rq_id_;
-  uint64_t seq_lba_ = 0;
-
-  Histogram latency_;
-  StageBreakdown stages_;
-  uint64_t ios_ = 0;
+  TenantIo io_;
   uint64_t arrivals_ = 0;
   uint64_t dropped_ = 0;
-  uint64_t completed_ = 0;
-  uint64_t errored_ = 0;
-  int outstanding_ = 0;
 };
 
 }  // namespace daredevil

@@ -390,7 +390,9 @@ ScenarioResult RunScenario(const ScenarioConfig& config) {
 
   sim.RunUntil(measure_end);
 
+  std::map<uint64_t, std::string> tenant_names;  // id -> display name
   for (auto& job : jobs) {
+    tenant_names[job->tenant().id.value()] = job->tenant().name;
     GroupStats& g = result.groups[job->spec().group];
     g.latency.Merge(job->latency());
     g.stages.Merge(job->stages());
@@ -407,15 +409,11 @@ ScenarioResult RunScenario(const ScenarioConfig& config) {
     result.fault_aborts = stack->aborts();
     result.fault_timeouts = stack->timeouts();
     result.failed_requests = stack->failed_requests();
-    std::map<TenantId, std::string> names;
-    for (const auto& job : jobs) {
-      names[job->tenant().id] = job->tenant().name;
-    }
     for (const auto& [tid, stats] : stack->tenant_errors()) {
-      auto it = names.find(tid);
+      auto it = tenant_names.find(tid.value());
       const std::string name =
-          it != names.end() ? it->second
-                            : "tenant-" + std::to_string(tid.value());
+          it != tenant_names.end() ? it->second
+                                   : "tenant-" + std::to_string(tid.value());
       ScenarioResult::TenantErrors& te = result.tenant_errors[name];
       te.retries = stats.retries;
       te.aborts = stats.aborts;
@@ -453,12 +451,7 @@ ScenarioResult RunScenario(const ScenarioConfig& config) {
   if (env.timeline_log() != nullptr) {
     result.timeline_total = env.timeline_log()->total_recorded();
     result.timeline_dropped = env.timeline_log()->dropped();
-
-    std::map<uint64_t, std::string> tenant_names;
-    for (const auto& job : jobs) {
-      tenant_names[job->tenant().id.value()] = job->tenant().name;
-    }
-    const std::vector<RequestRecord> records = env.timeline_log()->Records();
+    std::vector<RequestRecord> records = env.timeline_log()->Records();
 
     HolbOptions holb_opts;
     holb_opts.tenant_names = tenant_names;
@@ -477,7 +470,7 @@ ScenarioResult RunScenario(const ScenarioConfig& config) {
       if (env.trace_log() != nullptr) {
         input.events = env.trace_log()->Events();
       }
-      input.requests = records;
+      input.requests = std::move(records);  // HOL and SLO are done with them
       input.sampler = env.sampler();
       input.slo = &result.slo;
       input.tenant_names = std::move(tenant_names);

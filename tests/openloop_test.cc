@@ -3,6 +3,7 @@
 
 #include <memory>
 
+#include "src/core/invariant.h"
 #include "src/workload/open_loop.h"
 #include "src/workload/scenario.h"
 
@@ -113,6 +114,24 @@ TEST_F(OpenLoopTest, DeterministicAcrossRuns) {
   }
   EXPECT_EQ(arrivals[0], arrivals[1]);
 }
+
+#if DAREDEVIL_INVARIANTS
+
+using OpenLoopDeathTest = OpenLoopTest;
+
+// A request larger than its namespace cannot be placed anywhere in it; the
+// shared issue step must refuse it instead of drawing an underflowed LBA.
+TEST_F(OpenLoopDeathTest, OversizedRequestFailsTheBoundsCheck) {
+  OpenLoopSpec spec = BaseSpec();
+  spec.pages = static_cast<uint32_t>(env_->device().NamespacePages(0) + 8);
+  OpenLoopJob job(&env_->machine(), &env_->stack(), spec, 1, Rng(3), 0,
+                  10 * kMillisecond);
+  job.Start();
+  EXPECT_DEATH(env_->sim().RunUntil(10 * kMillisecond),
+               "overruns namespace 0");
+}
+
+#endif  // DAREDEVIL_INVARIANTS
 
 }  // namespace
 }  // namespace daredevil

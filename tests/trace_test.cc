@@ -3,7 +3,9 @@
 
 #include <set>
 #include <string>
+#include <vector>
 
+#include "src/sim/bounded_ring.h"
 #include "src/sim/trace.h"
 #include "src/workload/scenario.h"
 
@@ -37,6 +39,22 @@ TEST(TraceLogTest, RingDropsOldestWhenFull) {
   // Chronological: the last 4 events survive.
   EXPECT_EQ(events.front().at, 6);
   EXPECT_EQ(events.back().at, 9);
+}
+
+TEST(BoundedRingTest, KeepsNewestInOrderAcrossWraps) {
+  BoundedRing<int> ring(3);
+  for (int i = 0; i < 6; ++i) {  // wraps exactly back to the first slot
+    ring.push_back(i);
+  }
+  EXPECT_EQ(ring.Items(), (std::vector<int>{3, 4, 5}));
+  ring.push_back(6);
+  EXPECT_EQ(ring.Items(), (std::vector<int>{4, 5, 6}));
+  EXPECT_EQ(ring.size(), 3u);
+  EXPECT_EQ(ring.total_pushed(), 7u);
+  EXPECT_EQ(ring.dropped(), 4u);
+  ring.clear();
+  EXPECT_TRUE(ring.Items().empty());
+  EXPECT_EQ(ring.dropped(), 0u);
 }
 
 TEST(TraceLogTest, CsvFormat) {
