@@ -117,8 +117,9 @@ void BM_HistogramPercentile(benchmark::State& state) {
 }
 BENCHMARK(BM_HistogramPercentile);
 
-// Headline events/sec (ddperf.py extracts items_per_second from this
-// benchmark): one push + one dispatch through the engine per iteration.
+// Engine events/sec: one push + one dispatch through the engine per
+// iteration. A developer microbenchmark with no gate; simbench measures the
+// simulator end to end (tools/ddperf.py ab).
 void BM_EventQueuePushPop(benchmark::State& state) {
   Simulator sim;
   Rng rng(2);

@@ -346,6 +346,17 @@ void KvStore::MaybeCompact() {
   });
 }
 
+// Background job state, like ScanState: only the in-flight chunk callbacks
+// hold it, so a run that stops mid-job frees it with them.
+struct KvStore::BackgroundJobState {
+  uint64_t read_next = 0;
+  uint64_t read_end = 0;
+  uint64_t write_next = 0;
+  uint64_t write_end = 0;
+  int outstanding = 0;
+  Callback done;
+};
+
 void KvStore::BackgroundJob(uint64_t read_base, uint64_t read_pages,
                             uint64_t write_base, uint64_t write_pages,
                             Callback done) {
@@ -353,54 +364,44 @@ void KvStore::BackgroundJob(uint64_t read_base, uint64_t read_pages,
     done();
     return;
   }
-  struct Job {
-    uint64_t read_next, read_end;
-    uint64_t write_next, write_end;
-    int outstanding = 0;
-    Callback done;
-    // The pump lambda captures the job that owns it; the cycle is broken
-    // explicitly when the last chunk completes.
-    std::function<void()> pump;
-  };
-  auto job = std::make_shared<Job>();
+  auto job = std::make_shared<BackgroundJobState>();
   job->read_next = read_base;
   job->read_end = read_base + read_pages;
   job->write_next = write_base;
   job->write_end = write_base + write_pages;
   job->done = std::move(done);
+  PumpBackgroundJob(job);
+}
 
+void KvStore::PumpBackgroundJob(const std::shared_ptr<BackgroundJobState>& job) {
   const uint64_t ns_pages = io_->namespace_pages();
-  job->pump = [this, job, ns_pages]() {
-    while (job->outstanding < config_.flush_iodepth &&
-           (job->read_next < job->read_end || job->write_next < job->write_end)) {
-      const bool is_read = job->read_next < job->read_end;
-      uint64_t& next = is_read ? job->read_next : job->write_next;
-      const uint64_t end = is_read ? job->read_end : job->write_end;
-      uint64_t lba = next % ns_pages;
-      uint32_t chunk = static_cast<uint32_t>(
-          std::min<uint64_t>(config_.flush_chunk_pages, end - next));
-      chunk = static_cast<uint32_t>(std::min<uint64_t>(chunk, ns_pages - lba));
-      next += chunk;
-      ++job->outstanding;
-      auto on_done = [job]() {
-        --job->outstanding;
-        if (job->outstanding == 0 && job->read_next >= job->read_end &&
-            job->write_next >= job->write_end) {
-          Callback finished = std::move(job->done);
-          job->pump = nullptr;
-          finished();
-          return;
-        }
-        job->pump();
-      };
-      if (is_read) {
-        io_->Read(lba, chunk, on_done);
-      } else {
-        io_->Write(lba, chunk, /*sync=*/false, /*meta=*/false, on_done);
+  while (job->outstanding < config_.flush_iodepth &&
+         (job->read_next < job->read_end || job->write_next < job->write_end)) {
+    const bool is_read = job->read_next < job->read_end;
+    uint64_t& next = is_read ? job->read_next : job->write_next;
+    const uint64_t end = is_read ? job->read_end : job->write_end;
+    uint64_t lba = next % ns_pages;
+    uint32_t chunk = static_cast<uint32_t>(
+        std::min<uint64_t>(config_.flush_chunk_pages, end - next));
+    chunk = static_cast<uint32_t>(std::min<uint64_t>(chunk, ns_pages - lba));
+    next += chunk;
+    ++job->outstanding;
+    auto on_done = [this, job]() {
+      --job->outstanding;
+      if (job->outstanding == 0 && job->read_next >= job->read_end &&
+          job->write_next >= job->write_end) {
+        Callback finished = std::move(job->done);
+        finished();
+        return;
       }
+      PumpBackgroundJob(job);
+    };
+    if (is_read) {
+      io_->Read(lba, chunk, on_done);
+    } else {
+      io_->Write(lba, chunk, /*sync=*/false, /*meta=*/false, on_done);
     }
-  };
-  job->pump();
+  }
 }
 
 }  // namespace daredevil

@@ -130,6 +130,9 @@ class KvStore {
   // pass both spans. Calls done once every chunk completed.
   void BackgroundJob(uint64_t read_base, uint64_t read_pages, uint64_t write_base,
                      uint64_t write_pages, Callback done);
+  struct BackgroundJobState;
+  // Issues chunks until flush_iodepth are in flight or the job is issued.
+  void PumpBackgroundJob(const std::shared_ptr<BackgroundJobState>& job);
 
   AppIoContext* io_;
   KvStoreConfig config_;

@@ -6,8 +6,10 @@
 #define DAREDEVIL_SRC_SIM_TRACE_H_
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/sim/bounded_ring.h"
@@ -18,7 +20,8 @@ namespace daredevil {
 // When adding a category: append it before kOther (kOther stays last so the
 // static_asserts below pin the enum size), add its name to
 // kTraceCategoryNames at the same index, and keep kNumTraceCategories in
-// sync. ddlint's trace-categories rule cross-checks all three.
+// sync. The static_asserts below reject a skew between the three, a missing
+// or empty name, and a duplicate name.
 enum class TraceCategory : int {
   kSubmit = 0,   // request entered the block layer
   kRoute,        // routing decision (request -> NSQ)
@@ -66,11 +69,26 @@ constexpr bool AllCategoryNamesPresent() {
   }
   return true;
 }
+
+constexpr bool CategoryNamesUnique() {
+  for (std::size_t i = 0; i < kTraceCategoryNames.size(); ++i) {
+    for (std::size_t j = i + 1; j < kTraceCategoryNames.size(); ++j) {
+      if (std::string_view(kTraceCategoryNames[i]) ==
+          std::string_view(kTraceCategoryNames[j])) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
 }  // namespace trace_internal
 
 static_assert(trace_internal::AllCategoryNamesPresent(),
               "every TraceCategory needs a non-empty kTraceCategoryNames "
               "entry at its enum index");
+static_assert(trace_internal::CategoryNamesUnique(),
+              "kTraceCategoryNames entries must be distinct (every category "
+              "needs a distinguishable name)");
 
 const char* TraceCategoryName(TraceCategory c);
 

@@ -24,34 +24,36 @@ void JsonWriter::BeforeValue() {
   }
 }
 
-void JsonWriter::Escape(std::string_view s) {
+void AppendJsonString(std::string& out, std::string_view s) {
+  out += '"';
   for (char c : s) {
     switch (c) {
       case '"':
-        out_ += "\\\"";
+        out += "\\\"";
         break;
       case '\\':
-        out_ += "\\\\";
+        out += "\\\\";
         break;
       case '\n':
-        out_ += "\\n";
+        out += "\\n";
         break;
       case '\t':
-        out_ += "\\t";
+        out += "\\t";
         break;
       case '\r':
-        out_ += "\\r";
+        out += "\\r";
         break;
       default:
         if (static_cast<unsigned char>(c) < 0x20) {
           char buf[8];
           std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out_ += buf;
+          out += buf;
         } else {
-          out_ += c;
+          out += c;
         }
     }
   }
+  out += '"';
 }
 
 JsonWriter& JsonWriter::BeginObject() {
@@ -84,18 +86,15 @@ JsonWriter& JsonWriter::EndArray() {
 
 JsonWriter& JsonWriter::Key(std::string_view k) {
   BeforeValue();
-  out_ += '"';
-  Escape(k);
-  out_ += "\":";
+  AppendJsonString(out_, k);
+  out_ += ':';
   after_key_ = true;
   return *this;
 }
 
 JsonWriter& JsonWriter::String(std::string_view v) {
   BeforeValue();
-  out_ += '"';
-  Escape(v);
-  out_ += '"';
+  AppendJsonString(out_, v);
   return *this;
 }
 

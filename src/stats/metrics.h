@@ -27,6 +27,16 @@ class Machine;   // src/sim/cpu.h
 
 // --- JSON -----------------------------------------------------------------
 
+// Appends `s` as a quoted JSON string: quotes, backslashes and control
+// characters escaped. The one JSON escaper; JsonWriter's keys and strings and
+// the pre-rendered trace-export args all go through it.
+void AppendJsonString(std::string& out, std::string_view s);
+inline std::string JsonString(std::string_view s) {
+  std::string out;
+  AppendJsonString(out, s);
+  return out;
+}
+
 // Minimal JSON emitter (no external deps). Callers alternate Key()/value
 // calls inside objects; comma placement is handled automatically.
 class JsonWriter {
@@ -48,7 +58,6 @@ class JsonWriter {
 
  private:
   void BeforeValue();
-  void Escape(std::string_view s);
 
   std::string out_;
   std::vector<bool> first_;  // per open container: no value emitted yet

@@ -48,18 +48,6 @@ void RequestTimelineLog::Append(const Request& rq, int irq_core, int ncq) {
 
 namespace {
 
-std::string Quoted(std::string_view s) {
-  std::string out = "\"";
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-    }
-    out += c;
-  }
-  out += '"';
-  return out;
-}
-
 std::string TenantName(const TraceExportInput& input, uint64_t tenant_id) {
   auto it = input.tenant_names.find(tenant_id);
   if (it != input.tenant_names.end()) {
@@ -83,7 +71,7 @@ void AddMeta(std::vector<ChromeEvent>& out, int pid, int tid, const char* what,
   e.pid = pid;
   e.tid = tid;
   e.name = what;
-  e.args.emplace_back("name", Quoted(name));
+  e.args.emplace_back("name", JsonString(name));
   out.push_back(e);
 }
 
@@ -167,9 +155,9 @@ void BuildSloEvents(const TraceExportInput& input,
       x.args.emplace_back("peak_burn", fmt(ep.peak_burn));
       x.args.emplace_back("bad", std::to_string(ep.bad));
       x.args.emplace_back("total", std::to_string(ep.total));
-      x.args.emplace_back("blame",
-                          Quoted(ep.blame.empty() ? "unattributed" : ep.blame));
-      x.args.emplace_back("mechanism", Quoted(ep.mechanism));
+      x.args.emplace_back(
+          "blame", JsonString(ep.blame.empty() ? "unattributed" : ep.blame));
+      x.args.emplace_back("mechanism", JsonString(ep.mechanism));
       out.push_back(x);
     }
     for (const SloWindow& win : r.windows) {
@@ -216,7 +204,7 @@ void BuildRequestEvents(const TraceExportInput& input,
     outer.id = r.id;
     outer.cat = "rq";
     outer.name = RequestLabel(r);
-    outer.args.emplace_back("tenant", Quoted(tenant));
+    outer.args.emplace_back("tenant", JsonString(tenant));
     outer.args.emplace_back("nsq", std::to_string(r.nsq));
     outer.args.emplace_back("ncq", std::to_string(r.ncq));
     outer.args.emplace_back("pages", std::to_string(r.pages));
@@ -345,7 +333,7 @@ void BuildRequestEvents(const TraceExportInput& input,
       x.pid = kTracePidNsq;
       x.tid = nsq;
       x.name = RequestLabel(*r);
-      x.args.emplace_back("tenant", Quoted(TenantName(input, r->tenant_id)));
+      x.args.emplace_back("tenant", JsonString(TenantName(input, r->tenant_id)));
       x.args.emplace_back("pages", std::to_string(r->pages));
       out.push_back(x);
       prev_departure = r->fetch_start;

@@ -13,6 +13,8 @@ constexpr long kTable[] = {1, 2, 3};
 struct Table {
   static constexpr int kWidth = 4;
   static const int kDepth;
+  static int BucketIndex(long value);       // static member functions are
+  static void Invoke(void* storage) { }     // code, not state
   int per_instance = 0;
 };
 

@@ -252,5 +252,21 @@ TEST(TraceExportTest, ScenarioExportIsPerfettoShaped) {
   EXPECT_NE(r.trace_json.find("\"process_name\""), std::string::npos);
 }
 
+TEST(TraceExportTest, JobNamesWithControlCharactersStayValidJson) {
+  ScenarioConfig cfg = MakeSvmConfig(4);
+  cfg.stack = StackKind::kVanilla;
+  cfg.warmup = kMillisecond;
+  cfg.duration = 5 * kMillisecond;
+  cfg.export_trace = true;
+  AddLTenants(cfg, 1);
+  AddTTenants(cfg, 1);
+  cfg.jobs[0].name = "L\t0";  // a raw tab is invalid inside a JSON string
+  const ScenarioResult r = RunScenario(cfg);
+  ASSERT_FALSE(r.trace_json.empty());
+  std::string err;
+  EXPECT_TRUE(JsonLooksValid(r.trace_json, &err)) << err;
+  EXPECT_NE(r.trace_json.find("\"L\\t0\""), std::string::npos);
+}
+
 }  // namespace
 }  // namespace daredevil

@@ -2,15 +2,11 @@
 """ddlint: simulator-specific static checks for the Daredevil repository.
 
 A discrete-event simulator has correctness rules a generic linter cannot
-know. This pass enforces them over src/, bench/, and tests/:
+know. This pass enforces the ones no other checker owns over src/, bench/,
+and tests/. Each rule has exactly one owner: wall-clock reads, ambient RNGs
+and mutable statics belong to ddanalyze (rng-discipline, global-state), and
+the trace-category tables to the static_asserts in src/sim/trace.h.
 
-  wall-clock      No wall-clock time sources in src/ (<chrono>, <ctime>,
-                  system_clock, gettimeofday, ...). All simulated time flows
-                  through the sim Clock (src/sim/clock.h); wall-clock reads
-                  make runs irreproducible.
-  raw-rng         No std::rand / <random> engines / random_device in src/.
-                  All randomness flows through the seeded Rng
-                  (src/sim/rng.h); anything else breaks bit-exact replay.
   bare-assert     No bare assert() in src/. Use DD_CHECK and friends
                   (src/core/invariant.h) so violations report request id,
                   tick, and stage context, and compile in/out as one unit.
@@ -23,34 +19,18 @@ know. This pass enforces them over src/, bench/, and tests/:
   page-literal    No raw 4096 page-size arithmetic in src/; derive byte
                   quantities from kPageBytes (src/stack/request.h) so unit
                   bugs stay grep-able.
-  trace-categories
-                  src/sim/trace.h keeps its three category definitions in
-                  sync: the TraceCategory enumerator count, the
-                  kNumTraceCategories constant, and the kTraceCategoryNames
-                  entries must all agree (and kOther must stay last). The
-                  compile-time static_asserts catch most skews; this rule
-                  also runs where nothing compiles (doc-only CI jobs) and
-                  rejects duplicate names.
   engine-alloc    src/sim/engine/ is the zero-allocation core: no
                   std::function (type-erased heap captures), no
                   make_unique/make_shared, no malloc family, and no
                   non-placement `new`. The arena's slab-growth line is the
                   one sanctioned (waived) allocation site; everything else
                   must use the arena or inline storage.
-  local-static    No mutable function-local `static` and no `thread_local`
-                  in src/. Both are state shared by every shard the moment
-                  two simulators run on two threads (ROADMAP item 2);
-                  `static const`/`constexpr` data is fine. Fast Python
-                  backstop for ddanalyze's token-level global-state pass,
-                  which additionally covers namespace-scope variables and
-                  class statics.
 
 Waivers
   Inline, on the offending line (preferred for one-off sites):
       ... // ddlint: ordered-ok(stats dump, order does not reach the sim)
-  The token is <rule-token>-ok where the tokens are: wallclock, rng, assert,
-  ordered, guard, units, enginealloc, localstatic. A reason inside the
-  parentheses is mandatory.
+  The token is <rule-token>-ok where the tokens are: assert, ordered, guard,
+  units, enginealloc. A reason inside the parentheses is mandatory.
 
   File-level, in tools/ddlint-waivers.txt (one per line):
       <rule> <path> <reason...>
@@ -86,15 +66,11 @@ BASELINE_FILE = os.path.join("tools", "ddlint-baseline.txt")
 
 # rule name -> inline waiver token (used as "// ddlint: <token>-ok(reason)").
 RULE_TOKENS = {
-    "wall-clock": "wallclock",
-    "raw-rng": "rng",
     "bare-assert": "assert",
     "unordered-iter": "ordered",
     "include-guard": "guard",
     "page-literal": "units",
-    "trace-categories": "tracecat",
     "engine-alloc": "enginealloc",
-    "local-static": "localstatic",
 }
 
 # Directory the engine-alloc rule guards (the zero-allocation event core).
@@ -111,29 +87,6 @@ ENGINE_ALLOC_PATTERNS = [
     (re.compile(r"(?<!:)\bnew\b(?!\s*\()"), "non-placement new"),
 ]
 
-TRACE_HEADER = "src/sim/trace.h"
-
-WALL_CLOCK_PATTERNS = [
-    (re.compile(r"#\s*include\s*<(chrono|ctime|time\.h|sys/time\.h)>"),
-     "wall-clock header include"),
-    (re.compile(r"\bstd::chrono\b"), "std::chrono"),
-    (re.compile(r"\b(system_clock|steady_clock|high_resolution_clock)\b"),
-     "wall-clock type"),
-    (re.compile(r"\b(gettimeofday|clock_gettime|timespec_get)\s*\("),
-     "wall-clock syscall"),
-    (re.compile(r"\btime\s*\(\s*(NULL|nullptr|0|&)"), "time()"),
-    (re.compile(r"\bclock\s*\(\s*\)"), "clock()"),
-]
-
-RAW_RNG_PATTERNS = [
-    (re.compile(r"#\s*include\s*<random>"), "<random> include"),
-    (re.compile(r"\bstd::rand\b|\brand\s*\(\s*\)|\bsrand\s*\("),
-     "C rand()/srand()"),
-    (re.compile(r"\brandom_device\b"), "std::random_device"),
-    (re.compile(r"\b(mt19937(_64)?|minstd_rand0?|default_random_engine)\b"),
-     "std <random> engine"),
-]
-
 BARE_ASSERT_RE = re.compile(r"(?<![_\w])assert\s*\(")
 STATIC_ASSERT_RE = re.compile(r"\bstatic_assert\s*\(")
 CASSERT_RE = re.compile(r"#\s*include\s*<(cassert|assert\.h)>")
@@ -143,16 +96,6 @@ UNORDERED_DECL_RE = re.compile(
 RANGE_FOR_RE = re.compile(r"\bfor\s*\(([^;]*?):([^;]*)\)")
 
 PAGE_LITERAL_RE = re.compile(r"\b4096\b")
-
-LOCAL_STATIC_PATTERNS = [
-    (re.compile(r"\bthread_local\b"), "thread_local storage"),
-    # Indented `static <type> name ...;` with a declarator that never opens a
-    # parameter list (static member/local *functions* stay legal) and no
-    # leading cv-qualifier (`static const`/`constexpr` data is immutable).
-    (re.compile(r"^\s+static\s+(?!(?:inline\s+)?(?:const|constexpr|constinit)\b)"
-                r"[\w:<>,*&\s]+?\w+\s*[={;]"),
-     "mutable local static"),
-]
 
 INLINE_WAIVER_RE = re.compile(r"//\s*ddlint:\s*([a-z]+)-ok\(([^)]*)\)")
 
@@ -254,16 +197,6 @@ def check_file(path, rel, findings):
     # --- rules scoped to src/ (the simulation model itself) ---------------
     if in_src:
         for lineno, line in enumerate(lines, 1):
-            for pattern, what in WALL_CLOCK_PATTERNS:
-                if pattern.search(line):
-                    emit(lineno, "wall-clock",
-                         "{}: simulated time must flow through the sim Clock "
-                         "(src/sim/clock.h)".format(what))
-            for pattern, what in RAW_RNG_PATTERNS:
-                if pattern.search(line):
-                    emit(lineno, "raw-rng",
-                         "{}: randomness must flow through the seeded Rng "
-                         "(src/sim/rng.h)".format(what))
             no_static = STATIC_ASSERT_RE.sub("", line)
             if BARE_ASSERT_RE.search(no_static) or CASSERT_RE.search(line):
                 emit(lineno, "bare-assert",
@@ -275,13 +208,6 @@ def check_file(path, rel, findings):
                      "raw 4096 literal: derive byte quantities from "
                      "kPageBytes (src/stack/request.h), or waive if this is "
                      "not a page-size quantity")
-            for pattern, what in LOCAL_STATIC_PATTERNS:
-                if pattern.search(line):
-                    emit(lineno, "local-static",
-                         "{}: hidden state shared by every shard that "
-                         "reaches this line; make it const or hoist it into "
-                         "the owning component (ddanalyze global-state has "
-                         "the full rule)".format(what))
 
     # --- engine-alloc: the zero-allocation event core ----------------------
     if rel.startswith(ENGINE_DIR):
@@ -333,62 +259,6 @@ def check_file(path, rel, findings):
             found = m.group(1) if m else "none"
             emit(guard_line, "include-guard",
                  "include guard must be {} (found {})".format(guard, found))
-
-
-def check_trace_categories(root, findings):
-    """Cross-checks the enum / count constant / names array in trace.h."""
-    path = os.path.join(root, TRACE_HEADER)
-    if not os.path.exists(path):
-        return
-    with open(path, encoding="utf-8") as f:
-        raw = f.read()
-    rel = TRACE_HEADER
-
-    def emit(lineno, message):
-        findings.append(Finding(rel, lineno, "trace-categories", message))
-
-    enum_m = re.search(r"enum\s+class\s+TraceCategory[^{]*\{(.*?)\};", raw,
-                       re.DOTALL)
-    count_m = re.search(
-        r"inline\s+constexpr\s+int\s+kNumTraceCategories\s*=\s*(\d+)\s*;", raw)
-    names_m = re.search(
-        r"kTraceCategoryNames\s*=\s*\{(.*?)\};", raw, re.DOTALL)
-    if not enum_m or not count_m or not names_m:
-        emit(1, "could not locate TraceCategory enum, kNumTraceCategories, "
-                "and kTraceCategoryNames (parser out of date?)")
-        return
-
-    enum_body = re.sub(r"//[^\n]*", "", enum_m.group(1))
-    enumerators = [tok.split("=")[0].strip()
-                   for tok in enum_body.split(",") if tok.split("=")[0].strip()]
-    count = int(count_m.group(1))
-    names = re.findall(r'"([^"]*)"', names_m.group(1))
-
-    enum_line = raw[:enum_m.start()].count("\n") + 1
-    count_line = raw[:count_m.start()].count("\n") + 1
-    names_line = raw[:names_m.start()].count("\n") + 1
-
-    if len(enumerators) != count:
-        emit(count_line,
-             "kNumTraceCategories is {} but the TraceCategory enum has {} "
-             "enumerators".format(count, len(enumerators)))
-    if enumerators and enumerators[-1] != "kOther":
-        emit(enum_line,
-             "kOther must stay the last TraceCategory enumerator (found "
-             "'{}')".format(enumerators[-1]))
-    if len(names) != count:
-        emit(names_line,
-             "kTraceCategoryNames has {} entries but kNumTraceCategories is "
-             "{}".format(len(names), count))
-    empty = [i for i, name in enumerate(names) if not name]
-    if empty:
-        emit(names_line,
-             "kTraceCategoryNames entries at index {} are empty".format(empty))
-    dupes = sorted({name for name in names if names.count(name) > 1})
-    if dupes:
-        emit(names_line,
-             "duplicate kTraceCategoryNames entries: {} (every category "
-             "needs a distinguishable name)".format(", ".join(dupes)))
 
 
 def load_waiver_file(root):
@@ -519,7 +389,6 @@ def main():
                 if any(rel.startswith(skip + "/") for skip in SKIP_DIRS):
                     continue
                 check_file(path, rel, findings)
-    check_trace_categories(root, findings)
 
     apply_file_waivers(findings, load_waiver_file(root))
     findings.sort(key=lambda f: (f.path, f.line, f.rule))
