@@ -5,11 +5,13 @@
 
 int g_total = 0;                 // namespace-scope mutable variable
 extern int g_remote;             // extern declaration of one
+int kRetries = 3;                // a constant's name, but mutable
 
 thread_local int tls_count = 0;  // per-thread state breaks shard ownership
 
 struct Counter {
   static int instances_;         // non-const class static
+  static int kCount;             // a constant's name, but mutable
   static constexpr int kMax = 8;  // exempt: constexpr
   int per_instance = 0;           // exempt: instance state
 };

@@ -6,8 +6,9 @@
 //   * thread_local anywhere (per-thread state breaks the shard == ownership
 //     model: a shard migrated across threads silently changes state);
 //   * non-const class statics.
-// const / constexpr / constinit declarations and kConstant-named values are
-// exempt: shared-immutable data is shard-safe by definition. Findings are
+// const / constexpr / constinit declarations are exempt: shared-immutable
+// data is shard-safe by definition. A kConstant name without one of those
+// qualifiers is still mutable, and still flagged. Findings are
 // ratcheted per layer ("global-state.<layer>") like tick-units, so legacy
 // sites can be burned down without ever regressing. Waive a single site with
 // `// ddanalyze: global-ok(reason)`.
@@ -27,15 +28,6 @@ namespace ddanalyze {
 namespace {
 
 enum class Scope { kNamespace, kClass, kBlock };
-
-bool IsUpper(char c) { return c >= 'A' && c <= 'Z'; }
-
-// kConstant / kTable style names are immutable by convention (and the tick
-// and page constants all follow it); treat them as exempt so a missed
-// cv-qualifier does not spray findings over constant tables.
-bool IsConstantName(const std::string& name) {
-  return name.size() >= 2 && name[0] == 'k' && IsUpper(name[1]);
-}
 
 const std::set<std::string>& Keywords() {
   static const std::set<std::string> kKeywords = {
@@ -141,7 +133,7 @@ void CheckGlobalState(const SourceFile& file, std::vector<Finding>* out) {
         name = stmt[i];
       }
     }
-    if (name == nullptr || IsConstantName(name->text)) {
+    if (name == nullptr) {
       return;
     }
     if (scope == Scope::kClass) {
