@@ -4,11 +4,9 @@
 // keeps the arrival pressure on, exposing the latency collapse that real
 // interactive services experience.
 #include <cstdlib>
-#include <memory>
-#include <vector>
+#include <string>
 
 #include "bench/bench_util.h"
-#include "src/workload/open_loop.h"
 
 using namespace daredevil;
 
@@ -31,7 +29,7 @@ int main() {
 
   BenchJsonSink json("openloop_saturation");
   TablePrinter table({"T-tenants", "stack", "L avg", "L p99", "L p99.9",
-                      "achieved IOPS", "dropped"});
+                      "achieved IOPS", "dropped", "L SLO", "errored"});
   for (int n_t : {0, 8, 16}) {
     for (StackKind kind :
          {StackKind::kVanilla, StackKind::kBlkSwitch, StackKind::kDareFull}) {
@@ -45,94 +43,30 @@ int main() {
         cfg.fault_recovery.timeout = TickDuration{5 * kMillisecond};
         cfg.fault_recovery.backoff = TickDuration{100 * kMicrosecond};
       }
-      ScenarioEnv env(cfg);
-
-      Rng master(cfg.seed);
-      std::vector<std::unique_ptr<OpenLoopJob>> sources;
       for (int i = 0; i < 4; ++i) {
-        OpenLoopSpec spec;
-        spec.name = "ol" + std::to_string(i);
-        spec.group = "L";
-        spec.ionice = IoniceClass::kRealtime;
-        spec.pages = 1;
-        spec.iops = 5000;
-        spec.burst_prob = 0.1;
-        spec.burst_len = 8;
-        spec.core = i % 4;
-        sources.push_back(std::make_unique<OpenLoopJob>(
-            &env.machine(), &env.stack(), spec, static_cast<uint64_t>(500 + i),
-            master.Fork(), env.measure_start(), env.measure_end()));
-        sources.back()->Start();
+        // Realtime 4 KB reads (the OpenLoopSpec defaults).
+        cfg.open_loop.push_back(
+            OpenLoopSpec{.name = std::string("ol").append(std::to_string(i)),
+                         .group = "L",
+                         .iops = 5000,
+                         .burst_prob = 0.1,
+                         .burst_len = 8,
+                         .core = i % 4});
       }
-      std::vector<std::unique_ptr<FioJob>> t_jobs;
-      uint64_t tid = 1;
-      for (const auto& spec : cfg.jobs) {
-        t_jobs.push_back(std::make_unique<FioJob>(
-            &env.machine(), &env.stack(), spec, tid, (tid - 1) % 4,
-            master.Fork(), env.measure_start(), env.measure_end()));
-        ++tid;
-        t_jobs.back()->Start();
-      }
-      env.sim().RunUntil(env.measure_end());
-
-      Histogram latency;
-      StageBreakdown stages;
-      uint64_t ios = 0;
-      uint64_t dropped = 0;
-      for (const auto& src : sources) {
-        latency.Merge(src->latency());
-        stages.Merge(src->stages());
-        ios += src->measured_ios();
-        dropped += src->dropped_arrivals();
-      }
-      uint64_t errored = 0;
-      for (const auto& src : sources) {
-        errored += src->total_errored();
-      }
-      for (const auto& job : t_jobs) {
-        errored += job->total_errored();
-      }
-      if (fault_rate > 0) {
-        const StorageStack& stack = env.stack();
-        std::printf(
-            "  faults[%s nt=%d]: injected=%llu retries=%llu aborts=%llu "
-            "timeouts=%llu failed=%llu errored=%llu\n",
-            std::string(StackKindName(kind)).c_str(), n_t,
-            static_cast<unsigned long long>(env.fault_plan()->total_injections()),
-            static_cast<unsigned long long>(stack.fault_retries()),
-            static_cast<unsigned long long>(stack.aborts()),
-            static_cast<unsigned long long>(stack.timeouts()),
-            static_cast<unsigned long long>(stack.failed_requests()),
-            static_cast<unsigned long long>(errored));
-      }
-      if (json.enabled()) {
-        JsonWriter w;
-        w.BeginObject();
-        w.Key("ios").UInt(ios);
-        w.Key("dropped").UInt(dropped);
-        if (fault_rate > 0) {
-          w.Key("fault_injections").UInt(env.fault_plan()->total_injections());
-          w.Key("fault_retries").UInt(env.stack().fault_retries());
-          w.Key("fault_aborts").UInt(env.stack().aborts());
-          w.Key("fault_timeouts").UInt(env.stack().timeouts());
-          w.Key("failed_requests").UInt(env.stack().failed_requests());
-          w.Key("errored").UInt(errored);
-        }
-        w.Key("latency_ns");
-        AppendHistogramJson(w, latency);
-        w.Key("stages_ns");
-        stages.AppendJson(w);
-        w.EndObject();
-        json.AddJson(std::string(StackKindName(kind)) + "/nt=" +
-                         std::to_string(n_t),
-                     w.str());
-      }
+      AddLatencySlo(cfg, 5 * kMillisecond, ScaledMs(5));
+      const ScenarioResult r = RunScenario(cfg);
+      const std::string label =
+          std::string(StackKindName(kind)) + "/nt=" + std::to_string(n_t);
+      json.Add(label, r);
+      WarnOnTraceDrops(label, r);
+      const Histogram& latency = r.Find("L")->latency;
       table.AddRow({std::to_string(n_t), std::string(StackKindName(kind)),
                     FormatMs(latency.Mean()),
                     FormatMs(static_cast<double>(latency.P99())),
                     FormatMs(static_cast<double>(latency.P999())),
-                    FormatCount(static_cast<double>(ios) / ToSec(cfg.duration)),
-                    FormatCount(static_cast<double>(dropped))});
+                    FormatCount(r.Iops("L")),
+                    FormatCount(r.Metric("workload.L.dropped")), SloCell(r.slo),
+                    FormatCount(static_cast<double>(r.total_errored))});
     }
   }
   table.Print();

@@ -2,8 +2,7 @@
 // design factors. The capability matrix is queried from the live stack
 // objects, and Factor 2 (NQ exploitation) is additionally demonstrated at
 // runtime by counting the distinct NSQs each stack touches.
-#include <memory>
-#include <vector>
+#include <string>
 
 #include "bench/bench_util.h"
 
@@ -46,31 +45,13 @@ int main() {
     AddTTenants(cfg, 8);
 
     ScenarioEnv env(cfg);
-    std::vector<std::unique_ptr<FioJob>> jobs;
-    Rng master(cfg.seed);
-    uint64_t tid = 1;
-    int core = 0;
-    for (const auto& spec : cfg.jobs) {
-      jobs.push_back(std::make_unique<FioJob>(&env.machine(), &env.stack(), spec,
-                                              tid++, core, master.Fork(), 0,
-                                              env.measure_end()));
-      core = (core + 1) % env.machine().num_cores();
-      jobs.back()->Start();
-    }
-    env.sim().RunUntil(env.measure_end());
-
+    ScenarioResult r = env.Run();
     int used = 0;
     for (int q = 0; q < env.device().nr_nsq(); ++q) {
       used += env.device().nsq(q).submitted_rqs() > 0 ? 1 : 0;
     }
-    if (json.enabled()) {
-      JsonWriter w;
-      w.BeginObject();
-      w.Key("nsqs_used").Int(used);
-      w.Key("nr_nsq").Int(env.device().nr_nsq());
-      w.EndObject();
-      json.AddJson(std::string(StackKindName(kind)), w.str());
-    }
+    r.metrics["tab01.nsqs_used"] = used;
+    json.Add(std::string(StackKindName(kind)), r);
     const char* note = kind == StackKind::kVanilla
                            ? "capped by core count (static binding)"
                            : (kind == StackKind::kBlkSwitch

@@ -6,6 +6,7 @@
 //   ddsim_cli --stack=daredevil --cores=4 --l=4 --t=16 --duration-ms=150
 //   ddsim_cli --stack=vanilla --t=32 --trace-csv=/tmp/trace.csv
 //   ddsim_cli --stack=blk-switch --namespaces=8 --seed=7
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -52,7 +53,15 @@ CliOptions ParseArgs(int argc, char** argv) {
     } else if (ParseFlag(arg, "--stack", &value)) {
       opts.stack = value;
     } else if (ParseFlag(arg, "--cores", &value)) {
-      opts.cores = std::atoi(value.c_str());
+      char* end = nullptr;
+      const long cores = std::strtol(value.c_str(), &end, 10);
+      if (end == value.c_str() || *end != '\0' || cores < 1 ||
+          cores > INT_MAX) {
+        std::fprintf(stderr, "--cores must be a positive integer, got '%s'\n",
+                     value.c_str());
+        std::exit(2);
+      }
+      opts.cores = static_cast<int>(cores);
     } else if (ParseFlag(arg, "--l", &value)) {
       opts.l_tenants = std::atoi(value.c_str());
     } else if (ParseFlag(arg, "--t", &value)) {
@@ -150,46 +159,9 @@ int main(int argc, char** argv) {
               opts.namespaces, opts.duration_ms,
               static_cast<unsigned long long>(opts.seed));
 
-  // Trace dumping needs the live environment; replicate RunScenario's job
-  // plumbing so the log survives.
-  if (!opts.trace_csv.empty()) {
-    ScenarioEnv env(cfg);
-    Rng master(cfg.seed);
-    std::vector<std::unique_ptr<FioJob>> jobs;
-    uint64_t tid = 1;
-    int core = 0;
-    for (const auto& spec : cfg.jobs) {
-      jobs.push_back(std::make_unique<FioJob>(&env.machine(), &env.stack(), spec,
-                                              tid++, core, master.Fork(),
-                                              env.measure_start(),
-                                              env.measure_end()));
-      core = (core + 1) % env.machine().num_cores();
-      jobs.back()->Start();
-    }
-    env.sim().RunUntil(env.measure_end());
-    std::ofstream out(opts.trace_csv);
-    out << env.trace_log()->ToCsv();
-    std::printf("wrote %zu trace events (%llu recorded, %llu dropped) to %s\n",
-                env.trace_log()->size(),
-                static_cast<unsigned long long>(env.trace_log()->total_recorded()),
-                static_cast<unsigned long long>(env.trace_log()->dropped()),
-                opts.trace_csv.c_str());
-    Histogram l_latency;
-    uint64_t l_ios = 0;
-    for (const auto& job : jobs) {
-      if (job->spec().group == "L") {
-        l_latency.Merge(job->latency());
-        l_ios += job->measured_ios();
-      }
-    }
-    std::printf("L avg=%s p99.9=%s ios=%llu\n",
-                FormatMs(l_latency.Mean()).c_str(),
-                FormatMs(static_cast<double>(l_latency.P999())).c_str(),
-                static_cast<unsigned long long>(l_ios));
-    return 0;
-  }
-
-  const ScenarioResult r = RunScenario(cfg);
+  // The env outlives the run so the trace log can be dumped afterwards.
+  ScenarioEnv env(cfg);
+  const ScenarioResult r = env.Run();
   TablePrinter table({"group", "avg", "p99", "p99.9", "IOPS", "tput"});
   for (const auto& [group, stats] : r.groups) {
     table.AddRow({group, FormatMs(stats.latency.Mean()),
@@ -207,5 +179,14 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(r.requeues),
       static_cast<unsigned long long>(r.irqs_total),
       static_cast<unsigned long long>(r.migrations));
+  if (!opts.trace_csv.empty()) {
+    std::ofstream out(opts.trace_csv);
+    out << env.trace_log()->ToCsv();
+    std::printf("wrote %zu trace events (%llu recorded, %llu dropped) to %s\n",
+                env.trace_log()->size(),
+                static_cast<unsigned long long>(env.trace_log()->total_recorded()),
+                static_cast<unsigned long long>(env.trace_log()->dropped()),
+                opts.trace_csv.c_str());
+  }
   return 0;
 }

@@ -58,10 +58,6 @@ class AppIoContext {
   // Completion accounting over every op since construction.
   const TenantIo& io() const { return io_; }
 
-  // Optional SLO observer (owned by the scenario's SloTracker; null is fine).
-  // Every completed op is reported with its end-to-end latency.
-  void AttachSlo(SloTenantState* slo) { io_.AttachSlo(slo); }
-
  private:
   static void OnDelivered(void* self, TenantIo::Slot& slot);
   uint64_t Issue(uint64_t lba, uint32_t pages, bool is_write, bool sync,

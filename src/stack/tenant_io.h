@@ -55,6 +55,7 @@ class TenantIo {
   // Uniform start page for a `pages`-page I/O within the namespace (an
   // oversized I/O draws 0, so the issue step's bounds check reports it).
   Lba RandomLba(Rng& rng, uint32_t pages) const;
+  const Tenant& tenant() const { return *tenant_; }
   uint32_t nsid() const { return nsid_; }
   uint64_t namespace_pages() const {
     return stack_->device().NamespacePages(nsid_);

@@ -83,13 +83,9 @@ class FioJob {
   uint64_t total_errored() const { return io_.errored(); }
   int inflight() const { return io_.inflight(); }
 
-  // Optional whole-run series, SLO observer and group counters; see
-  // TenantIo.
-  void AttachSeries(TimeSeries* latency_series, TimeSeries* bytes_series) {
-    io_.AttachSeries(latency_series, bytes_series);
-  }
-  void AttachSlo(SloTenantState* slo) { io_.AttachSlo(slo); }
-  void AttachMetrics(MetricsRegistry* registry) { io_.AttachMetrics(registry); }
+  // The completion sink, for wiring its optional metrics, series and SLO
+  // feeds (ScenarioEnv::Run does).
+  TenantIo& io() { return io_; }
 
  private:
   void IssueOne();

@@ -54,6 +54,9 @@ class OpenLoopJob {
   // Completions delivered with status != kOk (fault-injection runs only).
   uint64_t total_errored() const { return io_.errored(); }
   int outstanding() const { return io_.inflight(); }
+  // The completion sink, for wiring its optional metrics, series and SLO
+  // feeds (ScenarioEnv::Run does).
+  TenantIo& io() { return io_; }
 
  private:
   void ScheduleNextArrival();

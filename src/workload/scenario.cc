@@ -228,8 +228,29 @@ std::unique_ptr<StorageStack> MakeStack(StackKind kind, Machine* machine,
   return nullptr;
 }
 
+namespace {
+
+// Runs before the machine is built: a core count below one would divide by
+// zero in the round-robin below or size the core vector negatively.
+const ScenarioConfig& CheckedCores(const ScenarioConfig& config) {
+  const int cores = config.machine.num_cores;
+  DD_CHECK(cores >= 1) << "machine.num_cores=" << cores << " must be >= 1";
+  for (const FioJobSpec& spec : config.jobs) {
+    DD_CHECK(spec.core < cores) << "job " << spec.name << " core=" << spec.core
+                                << " outside the " << cores << "-core machine";
+  }
+  for (const OpenLoopSpec& spec : config.open_loop) {
+    DD_CHECK(spec.core >= 0 && spec.core < cores)
+        << "open-loop source " << spec.name << " core=" << spec.core
+        << " outside the " << cores << "-core machine";
+  }
+  return config;
+}
+
+}  // namespace
+
 ScenarioEnv::ScenarioEnv(const ScenarioConfig& config)
-    : config_(config),
+    : config_(CheckedCores(config)),
       shard_(config.seed),
       machine_(&shard_, config.machine),
       device_(&shard_.sim(), config.device),
@@ -291,120 +312,121 @@ ScenarioEnv::ScenarioEnv(const ScenarioConfig& config)
   }
 }
 
-void ScenarioEnv::AttachSampler() {
-  if (sampler_ != nullptr) {
-    sampler_->Attach(&shard_.sim(), measure_start(), measure_end());
-  }
-}
-
-ScenarioResult RunScenario(const ScenarioConfig& config) {
-  ScenarioEnv env(config);
-  Simulator& sim = env.sim();
-  Machine& machine = env.machine();
-  Device& device = env.device();
-  StorageStack* stack = &env.stack();
-
-  const Tick measure_start = config.warmup;
-  const Tick measure_end = config.warmup + config.duration;
+ScenarioResult ScenarioEnv::Run() {
+  DD_CHECK(!ran_) << "ScenarioEnv::Run builds the tenants; call it once";
+  ran_ = true;
+  Simulator& sim = shard_.sim();
+  StorageStack* stack = stack_.get();
+  const Tick start = measure_start();
+  const Tick end = measure_end();
 
   ScenarioResult result;
-  result.measure_duration = config.duration;
-
-  // Pre-create per-group series so jobs can hold stable pointers.
-  if (config.series_window > 0) {
-    for (const auto& spec : config.jobs) {
-      result.latency_series.try_emplace(spec.group, 0, config.series_window);
-      result.bytes_series.try_emplace(spec.group, 0, config.series_window);
-    }
-  }
+  result.measure_duration = config_.duration;
 
   // Every layer registers its accounting into one registry; the result is a
   // snapshot of that registry instead of hand-copied per-class getters. The
   // registry is this run's metrics sink, published on the shard so shard-
   // aware components reach it through the context instead of a global.
-  MetricsRegistry registry;
-  env.shard().AttachMetrics(&registry);
-  RegisterMachineMetrics(machine, &registry);
-  device.RegisterMetrics(&registry);
-  stack->RegisterMetrics(&registry);
-  if (env.sampler() != nullptr) {
-    env.sampler()->RegisterMetrics(&registry);
-    env.AttachSampler();
+  shard_.AttachMetrics(&registry_);
+  RegisterMachineMetrics(machine_, &registry_);
+  device_.RegisterMetrics(&registry_);
+  stack->RegisterMetrics(&registry_);
+  if (sampler_ != nullptr) {
+    sampler_->RegisterMetrics(&registry_);
+    sampler_->Attach(&sim, start, end);
   }
-  if (config.series_window > 0) {
+  if (config_.series_window > 0) {
     // Truncated series are otherwise invisible: TimeSeries::Record counts
     // pre-origin samples instead of silently dropping them, and this gauge
     // surfaces the sum. Registered only when series are collected, so runs
     // without them keep an unchanged metrics schema (and fingerprint).
-    registry.RegisterGauge("timeseries.dropped_early", [&result]() {
+    registry_.RegisterGauge("timeseries.dropped_early", [this]() {
       uint64_t dropped = 0;
-      for (const auto& [group, series] : result.latency_series) {
+      for (const auto& [group, series] : latency_series_) {
         dropped += series.dropped_early();
       }
-      for (const auto& [group, series] : result.bytes_series) {
+      for (const auto& [group, series] : bytes_series_) {
         dropped += series.dropped_early();
       }
       return static_cast<double>(dropped);
     });
   }
-
-  // The SLO tracker observes deliveries via raw pointers handed to the jobs,
-  // so it must outlive them (declared first = destroyed last).
-  SloTracker slo_tracker(config.slos, measure_start, measure_end);
+  slo_ = std::make_unique<SloTracker>(config_.slos, start, end);
 
   // Per-tenant streams fork from the shard's RNG (seeded with config.seed at
-  // env construction, with no draws in between — the fork sequence is
-  // byte-identical to the former local master Rng).
-  std::vector<std::unique_ptr<FioJob>> jobs;
-  jobs.reserve(config.jobs.size());
+  // env construction, with no draws in between), jobs first and open-loop
+  // sources after them, with tenant ids 1, 2, ... in the same order.
+  std::vector<TenantIo*> sinks;
+  std::map<uint64_t, std::string> tenant_names;  // id -> display name
+  auto wire = [&](TenantIo& io) {
+    const Tenant& tenant = io.tenant();
+    io.AttachMetrics(&registry_);
+    if (config_.series_window > 0) {
+      // One series pair per group; map nodes keep the pointers stable.
+      io.AttachSeries(
+          &latency_series_.try_emplace(tenant.group, 0, config_.series_window)
+               .first->second,
+          &bytes_series_.try_emplace(tenant.group, 0, config_.series_window)
+               .first->second);
+    }
+    if (!slo_->empty()) {
+      io.AttachSlo(
+          slo_->AddTenant(tenant.name, tenant.group, tenant.id.value()));
+    }
+    tenant_names[tenant.id.value()] = tenant.name;
+    sinks.push_back(&io);
+  };
+  jobs_.reserve(config_.jobs.size());
   int next_core = 0;
   uint64_t next_tenant_id = 1;
-  for (const auto& spec : config.jobs) {
+  for (const auto& spec : config_.jobs) {
     int core = spec.core;
     if (core < 0) {
       core = next_core;
-      next_core = (next_core + 1) % machine.num_cores();
+      next_core = (next_core + 1) % machine_.num_cores();
     }
-    auto job = std::make_unique<FioJob>(
-        &machine, stack, spec, next_tenant_id++, core, env.shard().rng().Fork(),
-        measure_start, measure_end);
-    job->AttachMetrics(&registry);
-    if (config.series_window > 0) {
-      job->AttachSeries(&result.latency_series.at(spec.group),
-                        &result.bytes_series.at(spec.group));
-    }
-    if (!slo_tracker.empty()) {
-      job->AttachSlo(slo_tracker.AddTenant(job->tenant().name,
-                                           job->tenant().group,
-                                           job->tenant().id.value()));
-    }
-    jobs.push_back(std::move(job));
+    jobs_.push_back(std::make_unique<FioJob>(&machine_, stack, spec,
+                                             next_tenant_id++, core,
+                                             shard_.rng().Fork(), start, end));
+    wire(jobs_.back()->io());
   }
-  for (auto& job : jobs) {
+  open_loop_.reserve(config_.open_loop.size());
+  for (const auto& spec : config_.open_loop) {
+    open_loop_.push_back(std::make_unique<OpenLoopJob>(
+        &machine_, stack, spec, next_tenant_id++, shard_.rng().Fork(), start,
+        end));
+    wire(open_loop_.back()->io());
+  }
+  for (auto& job : jobs_) {
     job->Start();
+  }
+  for (auto& source : open_loop_) {
+    source->Start();
   }
 
   // Snapshot CPU busy time at the start of the measurement window.
   TickDuration busy_at_warmup;
-  sim.At(measure_start, [&]() { busy_at_warmup = machine.total_busy_ns(); });
+  sim.At(start, [&]() { busy_at_warmup = machine_.total_busy_ns(); });
 
-  sim.RunUntil(measure_end);
+  sim.RunUntil(end);
 
-  std::map<uint64_t, std::string> tenant_names;  // id -> display name
-  for (auto& job : jobs) {
-    tenant_names[job->tenant().id.value()] = job->tenant().name;
-    GroupStats& g = result.groups[job->spec().group];
-    g.latency.Merge(job->latency());
-    g.stages.Merge(job->stages());
-    g.ios += job->measured_ios();
-    g.bytes += job->measured_bytes();
-    result.total_issued += job->total_issued();
-    result.total_completed += job->total_completed();
-    result.total_errored += job->total_errored();
+  for (const TenantIo* io : sinks) {
+    GroupStats& g = result.groups[io->tenant().group];
+    g.latency.Merge(io->latency());
+    g.stages.Merge(io->stages());
+    g.ios += io->measured_ios();
+    g.bytes += io->measured_bytes();
+    result.total_issued += io->issued();
+    result.total_completed += io->completed();
+    result.total_errored += io->errored();
   }
-  if (env.fault_plan() != nullptr) {
+  for (const auto& source : open_loop_) {
+    *registry_.Counter("workload." + source->spec().group + ".dropped") +=
+        source->dropped_arrivals();
+  }
+  if (fault_plan() != nullptr) {
     result.faults_attached = true;
-    result.fault_injections = env.fault_plan()->total_injections();
+    result.fault_injections = fault_plan()->total_injections();
     result.fault_retries = stack->fault_retries();
     result.fault_aborts = stack->aborts();
     result.fault_timeouts = stack->timeouts();
@@ -421,8 +443,10 @@ ScenarioResult RunScenario(const ScenarioConfig& config) {
       te.errors = stats.errors;
     }
   }
-  result.cpu_util = machine.Utilization(busy_at_warmup, measure_start, measure_end);
-  result.metrics = registry.Snapshot();
+  result.cpu_util = machine_.Utilization(busy_at_warmup, start, end);
+  result.metrics = registry_.Snapshot();
+  result.latency_series = latency_series_;
+  result.bytes_series = bytes_series_;
   // Legacy convenience fields, now sourced from the registry (reading a
   // metric that a stack did not register yields 0, so no dynamic_cast soup).
   auto metric_u64 = [&result](const char* name) {
@@ -437,21 +461,21 @@ ScenarioResult RunScenario(const ScenarioConfig& config) {
   result.commands_completed = metric_u64("device.commands_completed");
   result.irqs_total = metric_u64("device.irqs_total");
   result.migrations = metric_u64("blkswitch.migrations");
-  if (env.trace_log() != nullptr) {
-    result.trace_hash = HashTraceStream(*env.trace_log());
-    result.trace_total = env.trace_log()->total_recorded();
-    result.trace_dropped = env.trace_log()->dropped();
+  if (trace_log() != nullptr) {
+    result.trace_hash = HashTraceStream(*trace_log());
+    result.trace_total = trace_log()->total_recorded();
+    result.trace_dropped = trace_log()->dropped();
   }
-  if (env.sampler() != nullptr) {
-    result.sampler = env.sampler()->Snapshot();
+  if (sampler_ != nullptr) {
+    result.sampler = sampler_->Snapshot();
   }
-  if (!slo_tracker.empty()) {
-    result.slo = slo_tracker.Finalize();
+  if (!slo_->empty()) {
+    result.slo = slo_->Finalize();
   }
-  if (env.timeline_log() != nullptr) {
-    result.timeline_total = env.timeline_log()->total_recorded();
-    result.timeline_dropped = env.timeline_log()->dropped();
-    std::vector<RequestRecord> records = env.timeline_log()->Records();
+  if (timeline_log() != nullptr) {
+    result.timeline_total = timeline_log()->total_recorded();
+    result.timeline_dropped = timeline_log()->dropped();
+    std::vector<RequestRecord> records = timeline_log()->Records();
 
     HolbOptions holb_opts;
     holb_opts.tenant_names = tenant_names;
@@ -461,31 +485,35 @@ ScenarioResult RunScenario(const ScenarioConfig& config) {
     // export so the trace slices carry the attribution.
     AttributeSloEpisodes(result.slo, records, tenant_names);
 
-    if (config.export_trace) {
+    if (config_.export_trace) {
       TraceExportInput input;
       input.stack_name = std::string(stack->name());
-      input.num_cores = machine.num_cores();
-      input.nr_nsq = device.nr_nsq();
-      input.nr_ncq = device.nr_ncq();
-      if (env.trace_log() != nullptr) {
-        input.events = env.trace_log()->Events();
+      input.num_cores = machine_.num_cores();
+      input.nr_nsq = device_.nr_nsq();
+      input.nr_ncq = device_.nr_ncq();
+      if (trace_log() != nullptr) {
+        input.events = trace_log()->Events();
       }
       input.requests = std::move(records);  // HOL and SLO are done with them
-      input.sampler = env.sampler();
+      input.sampler = sampler_.get();
       input.slo = &result.slo;
       input.tenant_names = std::move(tenant_names);
-      for (int i = 0; i < device.nr_nsq(); ++i) {
+      for (int i = 0; i < device_.nr_nsq(); ++i) {
         input.nsq_labels[i] = stack->NsqTrackLabel(i);
       }
       result.trace_json = SerializeChromeTrace(input);
-      if (!config.trace_json_path.empty()) {
-        std::ofstream out(config.trace_json_path,
+      if (!config_.trace_json_path.empty()) {
+        std::ofstream out(config_.trace_json_path,
                           std::ios::binary | std::ios::trunc);
         out << result.trace_json;
       }
     }
   }
   return result;
+}
+
+ScenarioResult RunScenario(const ScenarioConfig& config) {
+  return ScenarioEnv(config).Run();
 }
 
 ScenarioConfig MakeSvmConfig(int cores) {

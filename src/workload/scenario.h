@@ -1,6 +1,7 @@
 // Scenario runner: builds a machine + device + storage stack + tenants, runs
-// the simulation, and aggregates per-group statistics. Every test, example
-// and bench goes through this entry point.
+// the simulation, and aggregates per-group statistics. ScenarioEnv::Run (and
+// RunScenario, its one-line wrapper) is the one place that turns a
+// ScenarioConfig's tenants into traffic sources.
 #ifndef DAREDEVIL_SRC_WORKLOAD_SCENARIO_H_
 #define DAREDEVIL_SRC_WORKLOAD_SCENARIO_H_
 
@@ -23,6 +24,7 @@
 #include "src/stats/time_series.h"
 #include "src/stats/trace_export.h"
 #include "src/workload/fio_job.h"
+#include "src/workload/open_loop.h"
 
 namespace daredevil {
 
@@ -81,6 +83,11 @@ struct ScenarioConfig {
   std::vector<SloSpec> slos;
 
   std::vector<FioJobSpec> jobs;
+  // Open-loop sources, built after `jobs` (their RNG forks and tenant ids
+  // follow the jobs', so adding none leaves a config's run unchanged). Each
+  // feeds the same group stats, metrics, series and SLO tracker as a job,
+  // plus a "workload.<group>.dropped" counter of refused arrivals.
+  std::vector<OpenLoopSpec> open_loop;
 
   Tick warmup = 20 * kMillisecond;
   Tick duration = 150 * kMillisecond;
@@ -191,14 +198,23 @@ struct ScenarioResult {
 std::unique_ptr<StorageStack> MakeStack(StackKind kind, Machine* machine,
                                         Device* device, const ScenarioConfig& config);
 
-// A ready-to-run environment (simulator + machine + device + stack) for
-// harnesses that mix FIO jobs with application tenants (e.g. the YCSB and
-// Mailserver benches).
+// A simulator + machine + device + stack for one scenario. Run() builds the
+// config's tenants and runs them; harnesses that drive their own tenants
+// (application clients, runs past measure_end) construct the env and build
+// them by hand.
 class ScenarioEnv {
  public:
+  // Builds no tenants. Checks that the machine has a core and that every
+  // pinned job or open-loop core exists.
   explicit ScenarioEnv(const ScenarioConfig& config);
   ScenarioEnv(const ScenarioEnv&) = delete;
   ScenarioEnv& operator=(const ScenarioEnv&) = delete;
+
+  // Builds `jobs` then `open_loop` as sources, wires the metrics registry,
+  // per-group series, SLO tracker, sampler and timeline capture, runs to
+  // measure_end() and collects the result. Call at most once; afterwards the
+  // env (device, stack, trace log) stays inspectable.
+  ScenarioResult Run();
 
   // The env is a single-shard environment: one ShardContext owning the
   // simulator (and its engine), the RNG stream, and the metrics sink slot.
@@ -214,11 +230,6 @@ class ScenarioEnv {
   TraceLog* trace_log() { return trace_.get(); }
   // Null unless config.export_trace / config.analyze_holb / config.slos.
   RequestTimelineLog* timeline_log() { return timeline_.get(); }
-  // Null unless config.sample_interval > 0. Probes are wired but the sampler
-  // is not yet scheduled; call AttachSampler() (RunScenario does).
-  StateSampler* sampler() { return sampler_.get(); }
-  // Schedules the sampler over [measure_start, measure_end].
-  void AttachSampler();
   // Null unless config.faults was non-empty.
   FaultPlan* fault_plan() { return device_.fault_plan(); }
 
@@ -230,12 +241,24 @@ class ScenarioEnv {
   std::unique_ptr<StorageStack> stack_;
   std::unique_ptr<TraceLog> trace_;
   std::unique_ptr<RequestTimelineLog> timeline_;
+  // Null unless config.sample_interval > 0; Run() schedules it.
   std::unique_ptr<StateSampler> sampler_;
   // The env's own copy of config.faults (reseeded from config.seed); the
   // device and stack hold raw pointers into it for the run's lifetime.
   FaultPlan faults_;
+
+  // Run() state. The sources hold raw pointers into the registry cells, the
+  // series and the SLO tracker, so those are declared first (destroyed last).
+  bool ran_ = false;
+  MetricsRegistry registry_;
+  std::map<std::string, TimeSeries> latency_series_;
+  std::map<std::string, TimeSeries> bytes_series_;
+  std::unique_ptr<SloTracker> slo_;
+  std::vector<std::unique_ptr<FioJob>> jobs_;
+  std::vector<std::unique_ptr<OpenLoopJob>> open_loop_;
 };
 
+// ScenarioEnv(config).Run().
 ScenarioResult RunScenario(const ScenarioConfig& config);
 
 // --- Paper experiment helpers -------------------------------------------

@@ -30,6 +30,21 @@ ScenarioConfig GateConfig(StackKind kind, uint64_t seed) {
   return cfg;
 }
 
+// The gate scenario plus two bursty open-loop sources (ScenarioConfig::
+// open_loop), so the fingerprint also covers the arrival-driven path.
+ScenarioConfig OpenLoopGateConfig(uint64_t seed) {
+  ScenarioConfig cfg = GateConfig(StackKind::kDareFull, seed);
+  for (int i = 0; i < 2; ++i) {
+    cfg.open_loop.push_back(
+        OpenLoopSpec{.name = std::string("ol").append(std::to_string(i)),
+                     .iops = 20000,
+                     .burst_prob = 0.1,
+                     .burst_len = 4,
+                     .core = i});
+  }
+  return cfg;
+}
+
 class DeterminismGate : public ::testing::TestWithParam<StackKind> {};
 
 TEST_P(DeterminismGate, SameSeedSameFingerprint) {
@@ -127,13 +142,17 @@ TEST(DeterminismGate, FingerprintManifest) {
                              StackKind::kBlkSwitch, StackKind::kDareBase,
                              StackKind::kDareFull};
   std::string manifest;
-  for (StackKind kind : kinds) {
-    const ScenarioResult r = RunScenario(GateConfig(kind, /*seed=*/42));
-    EXPECT_GT(r.total_completed, 0u) << StackKindName(kind);
-    manifest += std::string(StackKindName(kind)) + " " +
-                std::to_string(r.SimulationFingerprint()) + " " +
+  auto add_line = [&manifest](const std::string& name,
+                               const ScenarioResult& r) {
+    EXPECT_GT(r.total_completed, 0u) << name;
+    manifest += name + " " + std::to_string(r.SimulationFingerprint()) + " " +
                 std::to_string(r.trace_hash) + "\n";
+  };
+  for (StackKind kind : kinds) {
+    add_line(std::string(StackKindName(kind)),
+             RunScenario(GateConfig(kind, /*seed=*/42)));
   }
+  add_line("daredevil+open-loop", RunScenario(OpenLoopGateConfig(/*seed=*/42)));
   printf("fingerprint manifest:\n%s", manifest.c_str());
   if (const char* out = std::getenv("DD_FINGERPRINT_OUT")) {
     FILE* f = fopen(out, "w");
@@ -162,6 +181,11 @@ constexpr GoldenFingerprint kGoldenFingerprints[] = {
     {StackKind::kDareFull, 2357443079684649269ull, 14135888807379484863ull},
 };
 
+// The open-loop gate scenario (OpenLoopGateConfig, seed 42), the manifest's
+// sixth line.
+constexpr GoldenFingerprint kOpenLoopGolden = {
+    StackKind::kDareFull, 7727970238225290457ull, 5436770205710965742ull};
+
 TEST(DeterminismGate, FaultsOffMatchesRecordedFingerprints) {
   for (const GoldenFingerprint& golden : kGoldenFingerprints) {
     const ScenarioResult r = RunScenario(GateConfig(golden.kind, /*seed=*/42));
@@ -171,6 +195,43 @@ TEST(DeterminismGate, FaultsOffMatchesRecordedFingerprints) {
     EXPECT_EQ(r.trace_hash, golden.trace_hash)
         << StackKindName(golden.kind) << ": trace stream drifted";
   }
+}
+
+TEST(DeterminismGate, OpenLoopMatchesRecordedFingerprint) {
+  const ScenarioResult r = RunScenario(OpenLoopGateConfig(/*seed=*/42));
+  EXPECT_EQ(r.SimulationFingerprint(), kOpenLoopGolden.fingerprint)
+      << "open-loop fingerprint drifted from the recorded baseline";
+  EXPECT_EQ(r.trace_hash, kOpenLoopGolden.trace_hash)
+      << "open-loop trace stream drifted";
+}
+
+TEST(DeterminismGate, OpenLoopSameSeedSameFingerprint) {
+  const ScenarioConfig cfg = OpenLoopGateConfig(/*seed=*/42);
+  const ScenarioResult a = RunScenario(cfg);
+  const ScenarioResult b = RunScenario(cfg);
+  ASSERT_NE(a.Find("OL"), nullptr);
+  EXPECT_GT(a.Find("OL")->ios, 0u);
+  EXPECT_EQ(a.SimulationFingerprint(), b.SimulationFingerprint());
+  EXPECT_EQ(a.trace_hash, b.trace_hash);
+  EXPECT_EQ(a.ToJson(), b.ToJson());
+}
+
+TEST(DeterminismGate, OpenLoopObserversDoNotPerturbFingerprint) {
+  // Open-loop sources feed the same observers as jobs; turning every one on
+  // must leave the simulated outcome untouched.
+  const ScenarioConfig plain = OpenLoopGateConfig(/*seed=*/42);
+  ScenarioConfig observed = plain;
+  observed.export_trace = true;
+  observed.sample_interval = kMillisecond;
+  observed.slos.push_back(SloSpec{.selector = "OL",
+                                  .threshold = 300 * kMicrosecond,
+                                  .window = kMillisecond});
+  const ScenarioResult a = RunScenario(plain);
+  const ScenarioResult b = RunScenario(observed);
+  EXPECT_EQ(b.slo.tenants.size(), 2u);
+  EXPECT_FALSE(b.trace_json.empty());
+  EXPECT_EQ(a.SimulationFingerprint(), b.SimulationFingerprint());
+  EXPECT_EQ(a.trace_hash, b.trace_hash);
 }
 
 // The gate scenario with a non-trivial fault schedule: every fault kind at a

@@ -115,6 +115,42 @@ TEST_F(OpenLoopTest, DeterministicAcrossRuns) {
   EXPECT_EQ(arrivals[0], arrivals[1]);
 }
 
+// RunScenario builds ScenarioConfig::open_loop sources beside the jobs and
+// feeds them to the same metrics, SLO and error accounting.
+TEST(OpenLoopScenarioTest, RunScenarioReportsOpenLoopSources) {
+  ScenarioConfig cfg = MakeSvmConfig(2);
+  cfg.device.nr_nsq = 8;
+  cfg.device.nr_ncq = 8;
+  cfg.stack = StackKind::kDareFull;
+  cfg.warmup = 2 * kMillisecond;
+  cfg.duration = 20 * kMillisecond;
+  for (int i = 0; i < 2; ++i) {
+    cfg.open_loop.push_back(
+        OpenLoopSpec{.name = std::string("ol").append(std::to_string(i)),
+                     .group = "L",
+                     .iops = 20000,
+                     .core = i});
+  }
+  cfg.slos.push_back(SloSpec{.selector = "L", .threshold = kMillisecond,
+                             .window = 5 * kMillisecond});
+  const ScenarioResult r = RunScenario(cfg);
+
+  // Only open-loop sources run, so the sinks' own counts give the requests
+  // still in flight; the group's registry cells must agree with them.
+  ASSERT_GE(r.total_issued, r.total_completed);
+  const uint64_t inflight = r.total_issued - r.total_completed;
+  EXPECT_GT(r.total_issued, 0u);
+  EXPECT_EQ(r.Metric("workload.L.issued"), static_cast<double>(r.total_issued));
+  EXPECT_EQ(r.Metric("workload.L.issued"),
+            r.Metric("workload.L.completed") + static_cast<double>(inflight));
+  EXPECT_EQ(r.metrics.count("workload.L.dropped"), 1u);
+  ASSERT_EQ(r.slo.tenants.size(), 2u);
+  EXPECT_EQ(r.slo.tenants.count("ol0"), 1u);
+  EXPECT_EQ(r.slo.tenants.count("ol1"), 1u);
+  EXPECT_EQ(r.total_errored, 0u);
+  EXPECT_GT(r.Find("L")->ios, 0u);
+}
+
 #if DAREDEVIL_INVARIANTS
 
 using OpenLoopDeathTest = OpenLoopTest;

@@ -49,18 +49,7 @@ TEST_P(GeometrySweep, DaredevilRunsAndSeparates) {
                 dd->nqreg().NsqsOfGroup(NqPrio::kLow).size(),
             static_cast<size_t>(nsq));
 
-  Rng master(cfg.seed);
-  std::vector<std::unique_ptr<FioJob>> jobs;
-  uint64_t tid = 1;
-  int core = 0;
-  for (const auto& spec : cfg.jobs) {
-    jobs.push_back(std::make_unique<FioJob>(&env.machine(), &env.stack(), spec,
-                                            tid++, core, master.Fork(), 0,
-                                            env.measure_end()));
-    core = (core + 1) % cores;
-    jobs.back()->Start();
-  }
-  env.sim().RunUntil(env.measure_end());
+  const ScenarioResult r = env.Run();
 
   // Traffic flowed and the groups never mixed.
   uint64_t total = 0;
@@ -68,14 +57,9 @@ TEST_P(GeometrySweep, DaredevilRunsAndSeparates) {
     total += env.device().nsq(q).submitted_rqs();
   }
   EXPECT_GT(total, 0u);
-  uint64_t l_issued = 0;
-  uint64_t all_issued = 0;
-  for (const auto& job : jobs) {
-    all_issued += job->total_issued();
-    if (job->spec().group == "L") {
-      l_issued += job->total_issued();
-    }
-  }
+  const uint64_t l_issued =
+      static_cast<uint64_t>(r.Metric("workload.L.issued"));
+  const uint64_t all_issued = r.total_issued;
   uint64_t high_submitted = 0;
   for (int q = 0; q < env.device().nr_nsq(); ++q) {
     if (dd->nqreg().GroupOfNsq(q) == NqPrio::kHigh) {

@@ -199,5 +199,36 @@ TEST(ScenarioTest, StackKindNamesStable) {
   EXPECT_EQ(StackKindName(StackKind::kDareFull), "daredevil");
 }
 
+#if DAREDEVIL_INVARIANTS
+
+// A pinned core the machine does not have would index past its core vector;
+// the env refuses the config before building anything.
+TEST(ScenarioDeathTest, OutOfRangeSpecCoreIsRejected) {
+  ScenarioConfig cfg = TinyConfig(StackKind::kVanilla);
+  FioJobSpec job = LTenantSpec(0);
+  job.core = cfg.machine.num_cores;
+  cfg.jobs.push_back(job);
+  EXPECT_DEATH(ScenarioEnv env(cfg),
+               "job L0 core=2 outside the 2-core machine");
+
+  ScenarioConfig ol = TinyConfig(StackKind::kVanilla);
+  ol.open_loop.push_back(OpenLoopSpec{.name = "ol", .core = -1});
+  EXPECT_DEATH(ScenarioEnv env(ol), "open-loop source ol core=-1");
+
+  ScenarioConfig none = TinyConfig(StackKind::kVanilla);
+  none.machine.num_cores = 0;
+  EXPECT_DEATH(ScenarioEnv env(none), "num_cores=0 must be >= 1");
+}
+
+TEST(ScenarioDeathTest, RunIsCalledOnce) {
+  ScenarioConfig cfg = TinyConfig(StackKind::kVanilla);
+  AddLTenants(cfg, 1);
+  ScenarioEnv env(cfg);
+  env.Run();
+  EXPECT_DEATH(env.Run(), "call it once");
+}
+
+#endif  // DAREDEVIL_INVARIANTS
+
 }  // namespace
 }  // namespace daredevil
