@@ -53,28 +53,18 @@ inline void AddLatencySlo(ScenarioConfig& cfg, Tick threshold, Tick window,
   cfg.slos.push_back(spec);
 }
 
-// Total requests observed by the SLO tracker (0 = every tracked tenant was
-// starved out of the measurement window; conformance is then vacuous).
-inline uint64_t SloTotalRequests(const SloReport& slo) {
-  uint64_t total = 0;
-  for (const auto& [name, r] : slo.tenants) {
-    total += r.total();
-  }
-  return total;
-}
-
 // Compact conformance cell for bench tables: "99.2%", "MISS 12.4%", or
-// "starved" when no tracked request completed in the measurement window.
+// "starved" when some tracked tenant had no request complete in the
+// measurement window (that verdict outranks any percentage).
 inline std::string SloCell(const SloReport& slo) {
-  if (SloTotalRequests(slo) == 0) {
-    return "starved";
-  }
-  const double conf = slo.AggregateConformancePct();
-  std::string cell = FormatPercent(conf / 100.0);
   bool met = true;
   for (const auto& [name, r] : slo.tenants) {
+    if (r.starved) {
+      return "starved";
+    }
     met = met && r.met;
   }
+  const std::string cell = FormatPercent(slo.AggregateConformancePct() / 100.0);
   return met ? cell : "MISS " + cell;
 }
 

@@ -1,6 +1,8 @@
 #include "src/stats/holb.h"
 
 #include <algorithm>
+#include <numeric>
+#include <utility>
 
 #include "src/stats/metrics.h"
 #include "src/stats/table.h"
@@ -8,13 +10,6 @@
 namespace daredevil {
 
 namespace {
-
-// A head-occupancy or fetch-engine interval with its owning record.
-struct OwnedInterval {
-  Tick begin = 0;
-  Tick end = 0;
-  const RequestRecord* owner = nullptr;
-};
 
 Tick Overlap(Tick a_begin, Tick a_end, Tick b_begin, Tick b_end) {
   const Tick begin = a_begin > b_begin ? a_begin : b_begin;
@@ -30,42 +25,28 @@ std::string TenantKey(const HolbOptions& opts, uint64_t tenant_id) {
   return "tenant" + std::to_string(tenant_id);
 }
 
-std::string SizeKey(const HolbOptions& opts, uint32_t pages) {
-  const std::string threshold = std::to_string(opts.bulk_threshold_pages);
-  return pages >= opts.bulk_threshold_pages ? "bulk(>=" + threshold + "p)"
-                                            : "small(<" + threshold + "p)";
-}
-
-void Charge(std::map<std::string, HolbRow>& rows, const std::string& key,
-            Tick head_ns, Tick fetch_ns) {
-  HolbRow& row = rows[key];
-  row.key = key;
+void AddTo(HolbRow& row, Tick head_ns, Tick fetch_ns) {
   ++row.blocking_events;
   row.head_block_ns += head_ns;
   row.fetch_slot_ns += fetch_ns;
 }
 
-std::vector<HolbRow> RankRows(std::map<std::string, HolbRow>& rows,
-                              size_t top_n) {
-  std::vector<HolbRow> out;
-  out.reserve(rows.size());
-  for (auto& [key, row] : rows) {
-    out.push_back(row);
-  }
-  std::sort(out.begin(), out.end(), [](const HolbRow& a, const HolbRow& b) {
+// Sorts by total blocking time (then key) and keeps the top `top_n` rows.
+std::vector<HolbRow> RankRows(std::vector<HolbRow> rows, size_t top_n) {
+  std::sort(rows.begin(), rows.end(), [](const HolbRow& a, const HolbRow& b) {
     if (a.total_ns() != b.total_ns()) {
       return a.total_ns() > b.total_ns();
     }
     return a.key < b.key;
   });
-  if (out.size() > top_n) {
-    out.resize(top_n);
+  if (rows.size() > top_n) {
+    rows.resize(top_n);
   }
-  return out;
+  return rows;
 }
 
 // First interval whose end is past `at` (intervals are disjoint + sorted).
-size_t LowerBoundByEnd(const std::vector<OwnedInterval>& v, Tick at) {
+size_t LowerBoundByEnd(const std::vector<TimelineInterval>& v, Tick at) {
   size_t lo = 0;
   size_t hi = v.size();
   while (lo < hi) {
@@ -80,6 +61,30 @@ size_t LowerBoundByEnd(const std::vector<OwnedInterval>& v, Tick at) {
 }
 
 }  // namespace
+
+RequestTimeline::RequestTimeline(std::vector<RequestRecord> records)
+    : records_(std::move(records)), head_start_(records_.size(), 0) {
+  std::vector<uint32_t> order(records_.size());
+  std::iota(order.begin(), order.end(), 0u);
+  std::sort(order.begin(), order.end(), [this](uint32_t a, uint32_t b) {
+    const RequestRecord& ra = records_[a];
+    const RequestRecord& rb = records_[b];
+    if (ra.fetch_start != rb.fetch_start) {
+      return ra.fetch_start < rb.fetch_start;
+    }
+    return ra.id < rb.id;
+  });
+  fetches_.reserve(order.size());
+  for (const uint32_t i : order) {
+    const RequestRecord& r = records_[i];
+    std::vector<TimelineInterval>& heads = heads_[r.nsq];
+    const Tick prev_departure = heads.empty() ? 0 : heads.back().end;
+    const Tick visible = r.doorbell > 0 ? r.doorbell : r.nsq_enqueue;
+    head_start_[i] = std::max(visible, prev_departure);
+    heads.push_back({head_start_[i], r.fetch_start, i});
+    fetches_.push_back({r.fetch_start, r.fetch, i});
+  }
+}
 
 Tick HolbReport::BulkHeadBlockNs() const {
   for (const HolbRow& row : by_size) {
@@ -151,139 +156,123 @@ std::string HolbReport::ToTable() const {
   return out;
 }
 
-HolbReport AnalyzeHolBlocking(const std::vector<RequestRecord>& records,
-                              const HolbOptions& opts) {
-  HolbReport report;
-  if (records.empty()) {
-    return report;
-  }
+HolbAttribution::HolbAttribution(const RequestTimeline& timeline,
+                                 const HolbOptions& opts)
+    : timeline_(&timeline), opts_(&opts) {
+  const std::string threshold = std::to_string(opts.bulk_threshold_pages);
+  bulk_.key = "bulk(>=" + threshold + "p)";
+  small_.key = "small(<" + threshold + "p)";
+}
 
-  // Reconstruct the per-NSQ head-occupancy intervals (same derivation as the
-  // trace export's NSQ tracks) and the serialized fetch-engine intervals.
-  std::map<int, std::vector<OwnedInterval>> heads_by_nsq;
-  // The victim's own head interval, keyed by record index.
-  std::map<const RequestRecord*, Tick> own_head_start;
-  {
-    std::map<int, std::vector<const RequestRecord*>> by_nsq;
-    for (const RequestRecord& r : records) {
-      by_nsq[r.nsq].push_back(&r);
-    }
-    for (auto& [nsq, rqs] : by_nsq) {
-      std::sort(rqs.begin(), rqs.end(),
-                [](const RequestRecord* a, const RequestRecord* b) {
-                  if (a->fetch_start != b->fetch_start) {
-                    return a->fetch_start < b->fetch_start;
-                  }
-                  return a->id < b->id;
-                });
-      Tick prev_departure = 0;
-      auto& intervals = heads_by_nsq[nsq];
-      intervals.reserve(rqs.size());
-      for (const RequestRecord* r : rqs) {
-        const Tick visible = r->doorbell > 0 ? r->doorbell : r->nsq_enqueue;
-        const Tick head_start = std::max(visible, prev_departure);
-        intervals.push_back({head_start, r->fetch_start, r});
-        own_head_start[r] = head_start;
-        prev_departure = r->fetch_start;
+void HolbAttribution::Charge(const RequestRecord& blocker, Tick head_ns,
+                             Tick fetch_ns) {
+  AddTo(by_tenant_id_[blocker.tenant_id], head_ns, fetch_ns);
+  AddTo(blocker.pages >= opts_->bulk_threshold_pages ? bulk_ : small_, head_ns,
+        fetch_ns);
+}
+
+void HolbAttribution::AddVictim(size_t i) {
+  const std::vector<RequestRecord>& records = timeline_->records();
+  const RequestRecord& victim = records[i];
+  const Tick wait_begin = victim.nsq_enqueue;
+  const Tick wait_end = victim.fetch_start;
+  ++totals_.victims;
+  if (wait_end <= wait_begin) {
+    return;
+  }
+  totals_.total_wait_ns += wait_end - wait_begin;
+
+  // Same-NSQ head blocking: other requests occupying the head while the
+  // victim waited. Head intervals are disjoint within an NSQ, so overlaps
+  // never double-count.
+  const auto heads_it = timeline_->heads().find(victim.nsq);
+  if (heads_it != timeline_->heads().end()) {
+    const std::vector<TimelineInterval>& heads = heads_it->second;
+    for (size_t k = LowerBoundByEnd(heads, wait_begin); k < heads.size();
+         ++k) {
+      const TimelineInterval& iv = heads[k];
+      if (iv.begin >= wait_end) {
+        break;
       }
-    }
-  }
-  std::vector<OwnedInterval> fetches;
-  fetches.reserve(records.size());
-  for (const RequestRecord& r : records) {
-    fetches.push_back({r.fetch_start, r.fetch, &r});
-  }
-  std::sort(fetches.begin(), fetches.end(),
-            [](const OwnedInterval& a, const OwnedInterval& b) {
-              if (a.begin != b.begin) {
-                return a.begin < b.begin;
-              }
-              return a.owner->id < b.owner->id;
-            });
-
-  std::map<std::string, HolbRow> by_tenant;
-  std::map<std::string, HolbRow> by_size;
-
-  for (const RequestRecord& victim : records) {
-    if (opts.victims_latency_sensitive_only && !victim.latency_sensitive) {
-      continue;
-    }
-    if (opts.victim_tenant_id != 0 &&
-        victim.tenant_id != opts.victim_tenant_id) {
-      continue;
-    }
-    if (victim.complete < opts.victim_complete_begin ||
-        (opts.victim_complete_end >= 0 &&
-         victim.complete >= opts.victim_complete_end)) {
-      continue;
-    }
-    const Tick wait_begin = victim.nsq_enqueue;
-    const Tick wait_end = victim.fetch_start;
-    ++report.victims;
-    if (wait_end <= wait_begin) {
-      continue;
-    }
-    report.total_wait_ns += wait_end - wait_begin;
-
-    // Same-NSQ head blocking: other requests occupying the head while the
-    // victim waited. Head intervals are disjoint within an NSQ, so overlaps
-    // never double-count.
-    const auto heads_it = heads_by_nsq.find(victim.nsq);
-    if (heads_it != heads_by_nsq.end()) {
-      const auto& heads = heads_it->second;
-      for (size_t i = LowerBoundByEnd(heads, wait_begin); i < heads.size();
-           ++i) {
-        const OwnedInterval& iv = heads[i];
-        if (iv.begin >= wait_end) {
-          break;
-        }
-        if (iv.owner == &victim) {
-          continue;
-        }
-        const Tick ns = Overlap(wait_begin, wait_end, iv.begin, iv.end);
-        if (ns <= 0) {
-          continue;
-        }
-        report.attributed_head_ns += ns;
-        Charge(by_tenant, TenantKey(opts, iv.owner->tenant_id), ns, 0);
-        Charge(by_size, SizeKey(opts, iv.owner->pages), ns, 0);
+      if (iv.record == i) {
+        continue;
       }
-    }
-
-    // Fetch-slot blocking: once at its own head, the victim waits for the
-    // serialized fetch engine to clear other queues' commands. Fetch
-    // intervals are globally disjoint (one engine), so again no
-    // double-counting, and the head/fetch windows partition the wait.
-    const auto own_it = own_head_start.find(&victim);
-    const Tick head_begin =
-        own_it != own_head_start.end() ? own_it->second : wait_end;
-    if (head_begin < wait_end) {
-      for (size_t i = LowerBoundByEnd(fetches, head_begin); i < fetches.size();
-           ++i) {
-        const OwnedInterval& iv = fetches[i];
-        if (iv.begin >= wait_end) {
-          break;
-        }
-        if (iv.owner == &victim) {
-          continue;
-        }
-        const Tick ns = Overlap(head_begin, wait_end, iv.begin, iv.end);
-        if (ns <= 0) {
-          continue;
-        }
-        report.attributed_fetch_ns += ns;
-        Charge(by_tenant, TenantKey(opts, iv.owner->tenant_id), 0, ns);
-        Charge(by_size, SizeKey(opts, iv.owner->pages), 0, ns);
+      const Tick ns = Overlap(wait_begin, wait_end, iv.begin, iv.end);
+      if (ns <= 0) {
+        continue;
       }
+      totals_.attributed_head_ns += ns;
+      Charge(records[iv.record], ns, 0);
     }
   }
 
+  // Fetch-slot blocking: once at its own head, the victim waits for the
+  // serialized fetch engine to clear other queues' commands. Fetch
+  // intervals are globally disjoint (one engine), so again no
+  // double-counting, and the head/fetch windows partition the wait.
+  const Tick head_begin = timeline_->head_start(i);
+  if (head_begin < wait_end) {
+    const std::vector<TimelineInterval>& fetches = timeline_->fetches();
+    for (size_t k = LowerBoundByEnd(fetches, head_begin); k < fetches.size();
+         ++k) {
+      const TimelineInterval& iv = fetches[k];
+      if (iv.begin >= wait_end) {
+        break;
+      }
+      if (iv.record == i) {
+        continue;
+      }
+      const Tick ns = Overlap(head_begin, wait_end, iv.begin, iv.end);
+      if (ns <= 0) {
+        continue;
+      }
+      totals_.attributed_fetch_ns += ns;
+      Charge(records[iv.record], 0, ns);
+    }
+  }
+}
+
+HolbReport HolbAttribution::Report() const {
+  HolbReport report = totals_;
   const Tick attributed = report.attributed_head_ns + report.attributed_fetch_ns;
   report.residual_ns =
       report.total_wait_ns > attributed ? report.total_wait_ns - attributed : 0;
-  report.by_tenant = RankRows(by_tenant, opts.top_n);
-  report.by_size = RankRows(by_size, opts.top_n);
+  // Rows are keyed by display name: tenants sharing a name share a row.
+  std::map<std::string, HolbRow> by_name;
+  for (const auto& [tenant_id, row] : by_tenant_id_) {
+    const std::string key = TenantKey(*opts_, tenant_id);
+    HolbRow& named = by_name[key];
+    named.key = key;
+    named.blocking_events += row.blocking_events;
+    named.head_block_ns += row.head_block_ns;
+    named.fetch_slot_ns += row.fetch_slot_ns;
+  }
+  std::vector<HolbRow> tenants;
+  tenants.reserve(by_name.size());
+  for (auto& [key, row] : by_name) {
+    tenants.push_back(std::move(row));
+  }
+  report.by_tenant = RankRows(std::move(tenants), opts_->top_n);
+  std::vector<HolbRow> sizes;
+  for (const HolbRow* row : {&bulk_, &small_}) {
+    if (row->blocking_events > 0) {
+      sizes.push_back(*row);
+    }
+  }
+  report.by_size = RankRows(std::move(sizes), opts_->top_n);
   return report;
+}
+
+HolbReport AnalyzeHolBlocking(const RequestTimeline& timeline,
+                              const HolbOptions& opts) {
+  HolbAttribution attribution(timeline, opts);
+  const std::vector<RequestRecord>& records = timeline.records();
+  for (size_t i = 0; i < records.size(); ++i) {
+    if (!opts.victims_latency_sensitive_only || records[i].latency_sensitive) {
+      attribution.AddVictim(i);
+    }
+  }
+  return attribution.Report();
 }
 
 }  // namespace daredevil

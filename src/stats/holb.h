@@ -5,7 +5,7 @@
 // delayed it:
 //
 //   * head blocking - requests of the same NSQ that occupied the queue head
-//     (their head-occupancy interval, see trace_export.h) while the victim
+//     (their head-occupancy interval, see RequestTimeline) while the victim
 //     was waiting behind them;
 //   * fetch-slot blocking - the controller's fetch/decompose engine is
 //     serialized across NSQs, so once the victim reaches its own NSQ head it
@@ -25,11 +25,83 @@
 #include <vector>
 
 #include "src/sim/clock.h"
-#include "src/stats/trace_export.h"
 
 namespace daredevil {
 
 class JsonWriter;  // src/stats/metrics.h
+
+// Compact snapshot of one completed request's stage timeline, captured on
+// delivery by RequestTimelineLog (src/stats/trace_export.h): requests are
+// pooled and reused by the workload layer, so the stamps are copied out
+// before recycling.
+struct RequestRecord {
+  uint64_t id = 0;
+  uint64_t tenant_id = 0;
+  uint32_t pages = 1;
+  bool is_write = false;
+  bool latency_sensitive = false;  // realtime ionice (L-tenant) at delivery
+  int nsq = -1;                    // NSQ the request was routed to
+  int ncq = -1;                    // NCQ the completion came back on
+  int submit_core = 0;
+  int irq_core = 0;       // core that drained the CQE
+  int complete_core = 0;  // tenant core the completion was delivered on
+
+  // The monotonic stage chain (see Request in src/stack/request.h).
+  Tick issue = 0;
+  Tick submit = 0;
+  Tick nsq_enqueue = 0;
+  Tick doorbell = 0;
+  Tick fetch_start = 0;
+  Tick fetch = 0;
+  Tick flash_start = 0;
+  Tick flash_end = 0;
+  Tick cqe_post = 0;
+  Tick drain = 0;
+  Tick complete = 0;
+};
+
+// A head-occupancy or fetch-engine interval of records()[record].
+struct TimelineInterval {
+  Tick begin = 0;
+  Tick end = 0;
+  uint32_t record = 0;
+};
+
+// Completed-request records and the one derivation of the queue picture
+// behind them, shared by the HOL attribution, the SLO episode blame (slo.h)
+// and the trace export's NSQ and fetch-engine tracks:
+//
+//   * head occupancy, per NSQ: the controller fetches each NSQ in FIFO
+//     order, so a request holds its NSQ head from max(its visibility, the
+//     previous head's departure) until its own fetch start. These intervals
+//     are disjoint within an NSQ;
+//   * the fetch engine: [fetch_start, fetch) of every request. The engine is
+//     serialized across NSQs, so these are globally disjoint.
+//
+// Both lists are ordered by (fetch_start, id). The derivation runs once, in
+// the constructor.
+class RequestTimeline {
+ public:
+  RequestTimeline() = default;
+  // Implicit on purpose: a record vector converts to its timeline.
+  RequestTimeline(  // NOLINT(google-explicit-constructor)
+      std::vector<RequestRecord> records);
+
+  const std::vector<RequestRecord>& records() const { return records_; }
+  // NSQ -> its head-occupancy intervals.
+  const std::map<int, std::vector<TimelineInterval>>& heads() const {
+    return heads_;
+  }
+  const std::vector<TimelineInterval>& fetches() const { return fetches_; }
+  // When records()[i] reached the head of its own NSQ.
+  Tick head_start(size_t i) const { return head_start_[i]; }
+
+ private:
+  std::vector<RequestRecord> records_;
+  std::map<int, std::vector<TimelineInterval>> heads_;
+  std::vector<TimelineInterval> fetches_;
+  std::vector<Tick> head_start_;  // indexed like records_
+};
 
 struct HolbOptions {
   // Attribute blocking only for latency-sensitive victims (the paper's
@@ -42,17 +114,6 @@ struct HolbOptions {
   size_t top_n = 10;
   // Optional tenant display names ("L0", "T1", ...); ids otherwise.
   std::map<uint64_t, std::string> tenant_names;
-
-  // --- Victim filters (the SLO episode cross-link, slo.h) -----------------
-  // These narrow *who counts as a victim*; blocker intervals are always
-  // reconstructed from every record, so a filtered pass still charges
-  // out-of-range blockers correctly.
-  // Nonzero: only this tenant's requests are victims (tenant ids start at 1).
-  uint64_t victim_tenant_id = 0;
-  // Only requests completing in [victim_complete_begin, victim_complete_end)
-  // are victims; a negative end means unbounded.
-  Tick victim_complete_begin = 0;
-  Tick victim_complete_end = -1;
 };
 
 // One row of a blocker ranking (key = tenant name or size class).
@@ -84,9 +145,32 @@ struct HolbReport {
   std::string ToTable() const;
 };
 
-// Runs the attribution pass over completed-request records. Pure function of
+// Accumulates the blocking attribution of a caller-chosen set of victims
+// over one timeline. AnalyzeHolBlocking picks the L-requests; the SLO blame
+// picks one tenant's requests per violation episode.
+class HolbAttribution {
+ public:
+  HolbAttribution(const RequestTimeline& timeline, const HolbOptions& opts);
+
+  // Charges the NSQ wait of timeline.records()[i] to the requests whose
+  // head-occupancy and fetch-engine intervals overlap it.
+  void AddVictim(size_t i);
+  HolbReport Report() const;
+
+ private:
+  void Charge(const RequestRecord& blocker, Tick head_ns, Tick fetch_ns);
+
+  const RequestTimeline* timeline_;
+  const HolbOptions* opts_;
+  HolbReport totals_;  // victims and wait sums; rows are built by Report()
+  std::map<uint64_t, HolbRow> by_tenant_id_;
+  HolbRow bulk_;
+  HolbRow small_;
+};
+
+// Runs the attribution pass over the timeline's victims. Pure function of
 // the records: deterministic, no simulation access.
-HolbReport AnalyzeHolBlocking(const std::vector<RequestRecord>& records,
+HolbReport AnalyzeHolBlocking(const RequestTimeline& timeline,
                               const HolbOptions& opts = HolbOptions());
 
 }  // namespace daredevil

@@ -1,5 +1,6 @@
 #include "src/stats/metrics.h"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 
@@ -98,19 +99,41 @@ JsonWriter& JsonWriter::String(std::string_view v) {
   return *this;
 }
 
+void AppendInt(std::string& out, int64_t v) {
+  char buf[24];
+  out.append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
+}
+
+void AppendUInt(std::string& out, uint64_t v) {
+  char buf[24];
+  out.append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
+}
+
 JsonWriter& JsonWriter::Int(int64_t v) {
   BeforeValue();
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
-  out_ += buf;
+  AppendInt(out_, v);
   return *this;
 }
 
 JsonWriter& JsonWriter::UInt(uint64_t v) {
   BeforeValue();
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%llu", static_cast<unsigned long long>(v));
-  out_ += buf;
+  AppendUInt(out_, v);
+  return *this;
+}
+
+JsonWriter& JsonWriter::Micros(int64_t ns) {
+  BeforeValue();
+  if (ns < 0) {
+    out_ += '-';
+  }
+  const uint64_t abs_ns = ns < 0 ? 0 - static_cast<uint64_t>(ns)
+                                 : static_cast<uint64_t>(ns);
+  AppendUInt(out_, abs_ns / 1000);
+  const uint64_t frac = abs_ns % 1000;
+  out_ += '.';
+  out_ += static_cast<char>('0' + frac / 100);
+  out_ += static_cast<char>('0' + frac / 10 % 10);
+  out_ += static_cast<char>('0' + frac % 10);
   return *this;
 }
 

@@ -28,14 +28,14 @@ class Machine;   // src/sim/cpu.h
 // --- JSON -----------------------------------------------------------------
 
 // Appends `s` as a quoted JSON string: quotes, backslashes and control
-// characters escaped. The one JSON escaper; JsonWriter's keys and strings and
-// the pre-rendered trace-export args all go through it.
+// characters escaped. The one JSON escaper; JsonWriter's keys and strings go
+// through it.
 void AppendJsonString(std::string& out, std::string_view s);
-inline std::string JsonString(std::string_view s) {
-  std::string out;
-  AppendJsonString(out, s);
-  return out;
-}
+
+// Appends the decimal digits of `v`. The one integer formatter: JsonWriter's
+// numbers and the trace export's event names go through it.
+void AppendInt(std::string& out, int64_t v);
+void AppendUInt(std::string& out, uint64_t v);
 
 // Minimal JSON emitter (no external deps). Callers alternate Key()/value
 // calls inside objects; comma placement is handled automatically.
@@ -50,6 +50,9 @@ class JsonWriter {
   JsonWriter& Int(int64_t v);
   JsonWriter& UInt(uint64_t v);
   JsonWriter& Double(double v);
+  // Nanoseconds as microseconds with exactly three decimals ("12.045"): the
+  // Chrome trace's time unit, exact with no floating point in play.
+  JsonWriter& Micros(int64_t ns);
   JsonWriter& Bool(bool v);
   // Splices a pre-rendered JSON value verbatim.
   JsonWriter& Raw(std::string_view json);

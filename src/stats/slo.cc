@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <iterator>
 
 #include "src/stats/holb.h"
 #include "src/stats/metrics.h"
 #include "src/stats/table.h"
-#include "src/stats/trace_export.h"
 
 namespace daredevil {
 
@@ -44,26 +44,25 @@ SloTenantState::SloTenantState(std::string tenant, uint64_t tenant_id,
       tenant_id_(tenant_id),
       spec_(NormalizeSpec(spec)),
       origin_(origin),
-      horizon_(horizon),
-      latencies_(origin, spec_.window) {}
+      horizon_(horizon) {}
 
 void SloTenantState::Record(Tick at, Tick latency, bool ok) {
   if (at < origin_ || at >= horizon_) {
     ++ignored_;
     return;
   }
-  latencies_.Record(at, latency);
   all_latencies_.Record(latency);
-  const bool good = ok && latency <= spec_.threshold;
-  if (good) {
+  const auto idx = static_cast<size_t>((at - origin_) / spec_.window);
+  if (idx >= total_per_window_.size()) {
+    total_per_window_.resize(idx + 1, 0);
+    bad_per_window_.resize(idx + 1, 0);
+  }
+  ++total_per_window_[idx];
+  if (ok && latency <= spec_.threshold) {
     ++good_;
     return;
   }
   ++bad_;
-  const auto idx = static_cast<size_t>((at - origin_) / spec_.window);
-  if (idx >= bad_per_window_.size()) {
-    bad_per_window_.resize(idx + 1, 0);
-  }
   ++bad_per_window_[idx];
 }
 
@@ -115,7 +114,8 @@ SloReport SloTracker::Finalize() const {
         total == 0 ? 100.0
                    : 100.0 * static_cast<double>(r.good) /
                          static_cast<double>(total);
-    r.met = r.conformance_pct >= r.spec.target_percentile;
+    r.starved = total == 0;
+    r.met = !r.starved && r.conformance_pct >= r.spec.target_percentile;
     r.budget_burned =
         total == 0 ? 0.0
                    : static_cast<double>(r.bad) /
@@ -125,20 +125,17 @@ SloReport SloTracker::Finalize() const {
     // Window math: the fast burn rate is per window, the slow rate the same
     // ratio over the trailing slow_windows windows (prefix sums keep this
     // O(windows)).
-    const size_t n = state->latencies_.num_windows();
+    const size_t n = state->total_per_window_.size();
     std::vector<uint64_t> total_prefix(n + 1, 0);
     std::vector<uint64_t> bad_prefix(n + 1, 0);
     for (size_t i = 0; i < n; ++i) {
-      const uint64_t wtotal = state->latencies_.WindowCount(i);
-      const uint64_t wbad =
-          i < state->bad_per_window_.size() ? state->bad_per_window_[i] : 0;
-      total_prefix[i + 1] = total_prefix[i] + wtotal;
-      bad_prefix[i + 1] = bad_prefix[i] + wbad;
+      total_prefix[i + 1] = total_prefix[i] + state->total_per_window_[i];
+      bad_prefix[i + 1] = bad_prefix[i] + state->bad_per_window_[i];
     }
     r.windows.reserve(n);
     for (size_t i = 0; i < n; ++i) {
       SloWindow w;
-      w.start = state->latencies_.WindowStart(i);
+      w.start = origin_ + static_cast<Tick>(i) * r.spec.window;
       const uint64_t wtotal = total_prefix[i + 1] - total_prefix[i];
       w.bad = bad_prefix[i + 1] - bad_prefix[i];
       w.good = wtotal - w.bad;
@@ -279,6 +276,9 @@ void SloReport::AppendJson(JsonWriter& w) const {
     w.Key("ignored").UInt(r.ignored);
     w.Key("conformance_pct").Double(r.conformance_pct);
     w.Key("met").Bool(r.met);
+    if (r.starved) {
+      w.Key("starved").Bool(true);
+    }
     w.Key("budget_burned").Double(r.budget_burned);
     w.Key("achieved_ns").Int(r.achieved_ns);
     w.Key("max_slow_burn").Double(r.max_slow_burn);
@@ -352,7 +352,7 @@ std::string SloReport::ToTable() const {
     }
     table.AddRow({r.tenant, objective,
                   FormatPercent(r.conformance_pct / 100.0),
-                  r.met ? "yes" : "NO",
+                  r.starved ? "starved" : r.met ? "yes" : "NO",
                   FormatPercent(r.budget_burned),
                   std::to_string(r.episodes.size()), worst_cell, blame_cell});
   }
@@ -361,25 +361,41 @@ std::string SloReport::ToTable() const {
 
 // --- Episode attribution ---------------------------------------------------
 
-void AttributeSloEpisodes(SloReport& report,
-                          const std::vector<RequestRecord>& records,
+void AttributeSloEpisodes(SloReport& report, const RequestTimeline& timeline,
                           const std::map<uint64_t, std::string>& tenant_names) {
+  const std::vector<RequestRecord>& records = timeline.records();
   if (report.empty() || records.empty()) {
     return;
   }
+  HolbOptions opts;
+  opts.tenant_names = tenant_names;
   for (auto& [name, r] : report.tenants) {
     if (r.tenant_id == 0 || r.episodes.empty()) {
       continue;
     }
+    // Episodes are disjoint and ordered, so each of the tenant's requests is
+    // a victim of at most one: the last episode beginning at or before its
+    // completion, if the completion falls before that episode's end.
+    std::vector<HolbAttribution> per_episode(
+        r.episodes.size(), HolbAttribution(timeline, opts));
+    for (size_t i = 0; i < records.size(); ++i) {
+      if (records[i].tenant_id != r.tenant_id) {
+        continue;
+      }
+      const Tick at = records[i].complete;
+      const auto after = std::upper_bound(
+          r.episodes.begin(), r.episodes.end(), at,
+          [](Tick t, const SloEpisode& ep) { return t < ep.begin; });
+      if (after == r.episodes.begin() || at >= std::prev(after)->end) {
+        continue;
+      }
+      per_episode[static_cast<size_t>(after - r.episodes.begin()) - 1]
+          .AddVictim(i);
+    }
     std::map<std::string, SloBlameRow> merged;
-    for (SloEpisode& ep : r.episodes) {
-      HolbOptions opts;
-      opts.victims_latency_sensitive_only = false;
-      opts.victim_tenant_id = r.tenant_id;
-      opts.victim_complete_begin = ep.begin;
-      opts.victim_complete_end = ep.end;
-      opts.tenant_names = tenant_names;
-      const HolbReport hr = AnalyzeHolBlocking(records, opts);
+    for (size_t e = 0; e < r.episodes.size(); ++e) {
+      SloEpisode& ep = r.episodes[e];
+      const HolbReport hr = per_episode[e].Report();
       // Dominant blocker: the top-ranked tenant other than the victim
       // itself (queueing behind your own requests is not interference).
       const HolbRow* top = nullptr;
@@ -387,8 +403,14 @@ void AttributeSloEpisodes(SloReport& report,
         if (row.key == r.tenant) {
           continue;
         }
-        top = &row;
-        break;
+        if (top == nullptr) {
+          top = &row;
+        }
+        SloBlameRow& agg = merged[row.key];
+        agg.key = row.key;
+        agg.blocking_events += row.blocking_events;
+        agg.head_block_ns += row.head_block_ns;
+        agg.fetch_slot_ns += row.fetch_slot_ns;
       }
       if (top != nullptr) {
         ep.blame = top->key;
@@ -396,16 +418,6 @@ void AttributeSloEpisodes(SloReport& report,
                            ? "same-queue-head"
                            : "fetch-slot";
         ep.blame_ns = top->total_ns();
-      }
-      for (const HolbRow& row : hr.by_tenant) {
-        if (row.key == r.tenant) {
-          continue;
-        }
-        SloBlameRow& agg = merged[row.key];
-        agg.key = row.key;
-        agg.blocking_events += row.blocking_events;
-        agg.head_block_ns += row.head_block_ns;
-        agg.fetch_slot_ns += row.fetch_slot_ns;
       }
     }
     r.attribution.clear();

@@ -16,11 +16,13 @@
 //   * discrete violation episodes: maximal runs of consecutive windows whose
 //     fast burn rate reaches the alert threshold.
 //
-// Episodes are cross-linked with the HOL-blocking attribution (holb.h): each
-// episode re-runs the attribution pass restricted to the tenant's requests
-// that completed inside the episode, so a violation carries its dominant
-// blocker ("T3 via same-queue-head") instead of just a timestamp range. The
-// Perfetto exporter renders episodes as slices on a per-tenant SLO track.
+// Episodes are cross-linked with the HOL-blocking attribution (holb.h): the
+// tenant's requests that completed inside an episode are attributed over the
+// run's one RequestTimeline, so a violation carries its dominant blocker
+// ("T3 via same-queue-head") instead of just a timestamp range. A tenant with
+// no delivery in the evaluated range is *starved*: it has no conformance to
+// report and never meets its objective. The Perfetto exporter renders
+// episodes as slices on a per-tenant SLO track.
 //
 // Determinism: the tracker is fed from the delivery path but only accumulates
 // counts - it never schedules events or draws randomness - and the report is
@@ -38,12 +40,11 @@
 
 #include "src/sim/clock.h"
 #include "src/stats/histogram.h"
-#include "src/stats/time_series.h"
 
 namespace daredevil {
 
-class JsonWriter;      // src/stats/metrics.h
-struct RequestRecord;  // src/stats/trace_export.h
+class JsonWriter;        // src/stats/metrics.h
+class RequestTimeline;   // src/stats/holb.h
 
 // A latency objective for one tenant or one tenant group.
 struct SloSpec {
@@ -112,7 +113,9 @@ struct SloTenantReport {
   uint64_t bad = 0;
   uint64_t ignored = 0;  // deliveries outside [origin, horizon)
   double conformance_pct = 100.0;  // 100 * good / (good + bad)
-  bool met = true;                 // conformance_pct >= target_percentile
+  // conformance_pct >= target_percentile, and false when starved.
+  bool met = true;
+  bool starved = false;  // no delivery in the evaluated range (total() == 0)
   // Fraction of the whole-run error budget consumed (1.0 = exhausted; can
   // exceed 1 when the tenant blows through it).
   double budget_burned = 0.0;
@@ -171,9 +174,9 @@ class SloTenantState {
   SloSpec spec_;
   Tick origin_;
   Tick horizon_;
-  // Windowed latency distribution (totals + per-window histograms) on the
-  // shared TimeSeries substrate; bad counts ride alongside per window.
-  TimeSeries latencies_;
+  // Per-window delivery and bad counts, window i = [origin + i * window,
+  // origin + (i + 1) * window).
+  std::vector<uint64_t> total_per_window_;
   std::vector<uint64_t> bad_per_window_;
   Histogram all_latencies_;
   uint64_t good_ = 0;
@@ -215,13 +218,12 @@ class SloTracker {
   std::vector<std::unique_ptr<SloTenantState>> states_;
 };
 
-// Cross-links violation episodes with the HOL-blocking attribution: for each
-// episode, re-runs AnalyzeHolBlocking over `records` with the victims
-// restricted to the episode's tenant and completion range, then fills
-// blame/mechanism/blame_ns and the per-tenant attribution ranking. Pure
-// post-processing over captured records; deterministic.
-void AttributeSloEpisodes(SloReport& report,
-                          const std::vector<RequestRecord>& records,
+// Cross-links violation episodes with the HOL-blocking attribution: each
+// episode's victims are its tenant's requests that completed inside it,
+// attributed over `timeline`; fills blame/mechanism/blame_ns and the
+// per-tenant attribution ranking. Pure post-processing over captured
+// records; deterministic.
+void AttributeSloEpisodes(SloReport& report, const RequestTimeline& timeline,
                           const std::map<uint64_t, std::string>& tenant_names);
 
 }  // namespace daredevil

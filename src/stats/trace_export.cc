@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdio>
+#include <cstddef>
 
 #include "src/core/invariant.h"
 #include "src/stats/metrics.h"
@@ -44,44 +44,117 @@ void RequestTimelineLog::Append(const Request& rq, int irq_core, int ncq) {
   ring_.push_back(rec);
 }
 
-// --- Event building --------------------------------------------------------
+// --- Event rendering -------------------------------------------------------
 
 namespace {
 
-std::string TenantName(const TraceExportInput& input, uint64_t tenant_id) {
+// Renders trace events one at a time, in emission order, into one buffer and
+// keeps each event's timestamp and byte range. Splice() then writes the
+// metadata events first, in emission order, and the data events by
+// timestamp. Byte offsets grow with emission order, so sorting by
+// (ts, offset) keeps emission order for equal timestamps, which keeps each
+// request's nested begin/end pairs balanced.
+class EventRenderer {
+ public:
+  // Opens an event and writes its common fields; returns the writer with the
+  // "name" key open. The caller writes the name, its optional fields
+  // ("cat", "id", "bp", "args" in that order) and calls End().
+  JsonWriter& Begin(char ph, Tick ts, int pid, int tid, Tick dur = 0) {
+    begin_ = w_.str().size();
+    ts_ = ts;
+    const char ph_str[2] = {ph, '\0'};
+    w_.BeginObject();
+    w_.Key("ph").String(ph_str);
+    if (ph != 'M') {
+      w_.Key("ts").Micros(ts);
+    }
+    if (ph == 'X') {
+      w_.Key("dur").Micros(dur);
+    }
+    w_.Key("pid").Int(pid);
+    w_.Key("tid").Int(tid);
+    return w_.Key("name");
+  }
+  // Async ('b'/'e') lifecycle slices and flow ('s'/'f') arrows: name, cat
+  // and the id the viewer pairs them by.
+  JsonWriter& BeginWithId(char ph, Tick ts, int pid, int tid,
+                          std::string_view name, std::string_view cat,
+                          uint64_t id) {
+    Begin(ph, ts, pid, tid).String(name);
+    w_.Key("cat").String(cat);
+    scratch_.clear();
+    AppendUInt(scratch_, id);
+    return w_.Key("id").String(scratch_);
+  }
+  void End() {
+    w_.EndObject();
+    keys_.push_back({ts_, begin_, w_.str().size()});
+  }
+  JsonWriter& w() { return w_; }
+
+  // The events rendered so far are metadata.
+  void EndMetadata() { metadata_ = keys_.size(); }
+
+  void Splice(JsonWriter& out) {
+    std::sort(keys_.begin() + static_cast<std::ptrdiff_t>(metadata_),
+              keys_.end(), [](const Key& a, const Key& b) {
+                return a.ts != b.ts ? a.ts < b.ts : a.begin < b.begin;
+              });
+    const std::string_view bytes = w_.str();
+    for (const Key& key : keys_) {
+      out.Raw(bytes.substr(key.begin, key.end - key.begin));
+    }
+  }
+
+ private:
+  struct Key {
+    Tick ts;
+    size_t begin;
+    size_t end;
+  };
+
+  JsonWriter w_;
+  std::vector<Key> keys_;
+  size_t metadata_ = 0;
+  size_t begin_ = 0;
+  Tick ts_ = 0;
+  std::string scratch_;
+};
+
+std::string_view TenantName(const TraceExportInput& input, uint64_t tenant_id,
+                            std::string& scratch) {
   auto it = input.tenant_names.find(tenant_id);
   if (it != input.tenant_names.end()) {
     return it->second;
   }
-  return "tenant" + std::to_string(tenant_id);
+  scratch = "tenant";
+  AppendUInt(scratch, tenant_id);
+  return scratch;
 }
 
-std::string RequestLabel(const RequestRecord& r) {
-  std::string label = "rq " + std::to_string(r.id);
-  label += r.latency_sensitive ? " L" : " T";
-  label += " " + std::to_string(r.pages) + "p";
-  label += r.is_write ? " W" : " R";
-  return label;
+// Appends the request's label: "rq 12 L 1p R".
+void AppendLabel(std::string& out, const RequestRecord& r) {
+  out += "rq ";
+  AppendUInt(out, r.id);
+  out += r.latency_sensitive ? " L " : " T ";
+  AppendUInt(out, r.pages);
+  out += r.is_write ? "p W" : "p R";
 }
 
-void AddMeta(std::vector<ChromeEvent>& out, int pid, int tid, const char* what,
-             const std::string& name) {
-  ChromeEvent e;
-  e.ph = 'M';
-  e.pid = pid;
-  e.tid = tid;
-  e.name = what;
-  e.args.emplace_back("name", JsonString(name));
-  out.push_back(e);
+void Meta(EventRenderer& ev, int pid, int tid, const char* what,
+          std::string_view name) {
+  ev.Begin('M', 0, pid, tid).String(what);
+  ev.w().Key("args").BeginObject();
+  ev.w().Key("name").String(name);
+  ev.w().EndObject();
+  ev.End();
 }
 
-void BuildMetadata(const TraceExportInput& input,
-                   const std::vector<RequestRecord>& records,
-                   std::vector<ChromeEvent>& out) {
-  AddMeta(out, kTracePidHost, 0, "process_name",
-          "host (" + input.stack_name + ")");
+void RenderMetadata(const TraceExportInput& input, EventRenderer& ev) {
+  Meta(ev, kTracePidHost, 0, "process_name",
+       "host (" + input.stack_name + ")");
   for (int c = 0; c < input.num_cores; ++c) {
-    AddMeta(out, kTracePidHost, c, "thread_name", "core " + std::to_string(c));
+    Meta(ev, kTracePidHost, c, "thread_name", "core " + std::to_string(c));
   }
   // Only name NSQ tracks that actually carry events (128 idle tracks would
   // drown the view on a WS-M device).
@@ -92,7 +165,7 @@ void BuildMetadata(const TraceExportInput& input,
       nsq_used[static_cast<size_t>(nsq)] = true;
     }
   };
-  for (const RequestRecord& r : records) {
+  for (const RequestRecord& r : input.requests.records()) {
     mark(r.nsq);
   }
   for (const TraceEvent& e : input.events) {
@@ -101,29 +174,29 @@ void BuildMetadata(const TraceExportInput& input,
       mark(static_cast<int>(e.a));
     }
   }
-  AddMeta(out, kTracePidNsq, 0, "process_name", "NSQ head occupancy");
+  Meta(ev, kTracePidNsq, 0, "process_name", "NSQ head occupancy");
   for (size_t i = 0; i < nsq_used.size(); ++i) {
     if (!nsq_used[i]) {
       continue;
     }
     const int nsq = static_cast<int>(i);
     auto it = input.nsq_labels.find(nsq);
-    AddMeta(out, kTracePidNsq, nsq, "thread_name",
-            it != input.nsq_labels.end() ? it->second
-                                         : "NSQ " + std::to_string(nsq));
+    Meta(ev, kTracePidNsq, nsq, "thread_name",
+         it != input.nsq_labels.end() ? it->second
+                                      : "NSQ " + std::to_string(nsq));
   }
-  AddMeta(out, kTracePidDevice, 0, "process_name", "device controller");
-  AddMeta(out, kTracePidDevice, 0, "thread_name", "fetch engine");
-  AddMeta(out, kTracePidNcq, 0, "process_name", "NCQ residency");
-  AddMeta(out, kTracePidRequests, 0, "process_name", "request lifecycles");
-  AddMeta(out, kTracePidCounters, 0, "process_name", "sampled state");
-  AddMeta(out, kTracePidControl, 0, "process_name", "stack control");
-  AddMeta(out, kTracePidControl, 0, "thread_name", "scheduling");
+  Meta(ev, kTracePidDevice, 0, "process_name", "device controller");
+  Meta(ev, kTracePidDevice, 0, "thread_name", "fetch engine");
+  Meta(ev, kTracePidNcq, 0, "process_name", "NCQ residency");
+  Meta(ev, kTracePidRequests, 0, "process_name", "request lifecycles");
+  Meta(ev, kTracePidCounters, 0, "process_name", "sampled state");
+  Meta(ev, kTracePidControl, 0, "process_name", "stack control");
+  Meta(ev, kTracePidControl, 0, "thread_name", "scheduling");
   if (input.slo != nullptr && !input.slo->empty()) {
-    AddMeta(out, kTracePidSlo, 0, "process_name", "SLO conformance");
+    Meta(ev, kTracePidSlo, 0, "process_name", "SLO conformance");
     int tid = 0;
     for (const auto& [tenant, r] : input.slo->tenants) {
-      AddMeta(out, kTracePidSlo, tid, "thread_name", "SLO " + tenant);
+      Meta(ev, kTracePidSlo, tid, "thread_name", "SLO " + tenant);
       ++tid;
     }
   }
@@ -131,55 +204,43 @@ void BuildMetadata(const TraceExportInput& input,
 
 // Violation episodes as X slices and per-window fast burn rates as counters,
 // one track per SLO-tracked tenant (map order = tid order).
-void BuildSloEvents(const TraceExportInput& input,
-                    std::vector<ChromeEvent>& out) {
+void RenderSloEvents(const TraceExportInput& input, EventRenderer& ev) {
   if (input.slo == nullptr || input.slo->empty()) {
     return;
   }
-  auto fmt = [](double v) {
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.15g", v);
-    return std::string(buf);
-  };
+  JsonWriter& w = ev.w();
   int tid = 0;
   for (const auto& [tenant, r] : input.slo->tenants) {
+    const std::string violation = "SLO violation " + tenant;
+    const std::string burn = "burn " + tenant;
     for (const SloEpisode& ep : r.episodes) {
-      ChromeEvent x;
-      x.ph = 'X';
-      x.ts = ep.begin;
-      x.dur = ep.duration();
-      x.pid = kTracePidSlo;
-      x.tid = tid;
-      x.cat = "slo";
-      x.name = "SLO violation " + tenant;
-      x.args.emplace_back("peak_burn", fmt(ep.peak_burn));
-      x.args.emplace_back("bad", std::to_string(ep.bad));
-      x.args.emplace_back("total", std::to_string(ep.total));
-      x.args.emplace_back(
-          "blame", JsonString(ep.blame.empty() ? "unattributed" : ep.blame));
-      x.args.emplace_back("mechanism", JsonString(ep.mechanism));
-      out.push_back(x);
+      ev.Begin('X', ep.begin, kTracePidSlo, tid, ep.duration())
+          .String(violation);
+      w.Key("cat").String("slo");
+      w.Key("args").BeginObject();
+      w.Key("peak_burn").Double(ep.peak_burn);
+      w.Key("bad").UInt(ep.bad);
+      w.Key("total").UInt(ep.total);
+      w.Key("blame").String(ep.blame.empty() ? "unattributed" : ep.blame);
+      w.Key("mechanism").String(ep.mechanism);
+      w.EndObject();
+      ev.End();
     }
     for (const SloWindow& win : r.windows) {
-      ChromeEvent c;
-      c.ph = 'C';
-      c.ts = win.start;
-      c.pid = kTracePidSlo;
-      c.tid = tid;
-      c.name = "burn " + tenant;
-      c.args.emplace_back("fast", fmt(win.fast_burn));
-      c.args.emplace_back("slow", fmt(win.slow_burn));
-      out.push_back(c);
+      ev.Begin('C', win.start, kTracePidSlo, tid).String(burn);
+      w.Key("args").BeginObject();
+      w.Key("fast").Double(win.fast_burn);
+      w.Key("slow").Double(win.slow_burn);
+      w.EndObject();
+      ev.End();
     }
     ++tid;
   }
 }
 
 // Per-request nested async lifecycle slices plus the resource-track slices
-// derived from the record set.
-void BuildRequestEvents(const TraceExportInput& input,
-                        const std::vector<RequestRecord>& records,
-                        std::vector<ChromeEvent>& out) {
+// of the timeline's head-occupancy and fetch-engine intervals.
+void RenderRequestEvents(const TraceExportInput& input, EventRenderer& ev) {
   struct Phase {
     const char* name;
     Tick RequestRecord::*begin;
@@ -194,229 +255,164 @@ void BuildRequestEvents(const TraceExportInput& input,
       {"delivery", &RequestRecord::drain, &RequestRecord::complete},
   };
 
+  JsonWriter& w = ev.w();
+  const std::vector<RequestRecord>& records = input.requests.records();
+  std::string label;
+  std::string name;
+  std::string scratch;
   for (const RequestRecord& r : records) {
-    const std::string tenant = TenantName(input, r.tenant_id);
-    ChromeEvent outer;
-    outer.ph = 'b';
-    outer.ts = r.issue;
-    outer.pid = kTracePidRequests;
-    outer.has_id = true;
-    outer.id = r.id;
-    outer.cat = "rq";
-    outer.name = RequestLabel(r);
-    outer.args.emplace_back("tenant", JsonString(tenant));
-    outer.args.emplace_back("nsq", std::to_string(r.nsq));
-    outer.args.emplace_back("ncq", std::to_string(r.ncq));
-    outer.args.emplace_back("pages", std::to_string(r.pages));
-    out.push_back(outer);
+    label.clear();
+    AppendLabel(label, r);
+    ev.BeginWithId('b', r.issue, kTracePidRequests, 0, label, "rq", r.id);
+    w.Key("args").BeginObject();
+    w.Key("tenant").String(TenantName(input, r.tenant_id, scratch));
+    w.Key("nsq").Int(r.nsq);
+    w.Key("ncq").Int(r.ncq);
+    w.Key("pages").UInt(r.pages);
+    w.EndObject();
+    ev.End();
     for (const Phase& phase : kPhases) {
       const Tick begin = r.*(phase.begin);
       const Tick end = r.*(phase.end);
       if (end < begin) {
         continue;  // defensive: a torn timeline must not unbalance b/e
       }
-      ChromeEvent b;
-      b.ph = 'b';
-      b.ts = begin;
-      b.pid = kTracePidRequests;
-      b.has_id = true;
-      b.id = r.id;
-      b.cat = "rq";
-      b.name = phase.name;
-      out.push_back(b);
-      ChromeEvent e = b;
-      e.ph = 'e';
-      e.ts = end;
-      out.push_back(e);
+      ev.BeginWithId('b', begin, kTracePidRequests, 0, phase.name, "rq", r.id);
+      ev.End();
+      ev.BeginWithId('e', end, kTracePidRequests, 0, phase.name, "rq", r.id);
+      ev.End();
     }
-    ChromeEvent end = outer;
-    end.ph = 'e';
-    end.ts = r.complete;
-    end.args.clear();
-    out.push_back(end);
+    ev.BeginWithId('e', r.complete, kTracePidRequests, 0, label, "rq", r.id);
+    ev.End();
 
     // Flash service (overlaps across chips -> async under the device pid).
-    {
-      ChromeEvent b;
-      b.ph = 'b';
-      b.ts = r.flash_start;
-      b.pid = kTracePidDevice;
-      b.has_id = true;
-      b.id = r.id;
-      b.cat = "flash";
-      b.name = "flash " + RequestLabel(r);
-      out.push_back(b);
-      ChromeEvent e = b;
-      e.ph = 'e';
-      e.ts = r.flash_end;
-      out.push_back(e);
-    }
+    name = "flash " + label;
+    ev.BeginWithId('b', r.flash_start, kTracePidDevice, 0, name, "flash", r.id);
+    ev.End();
+    ev.BeginWithId('e', r.flash_end, kTracePidDevice, 0, name, "flash", r.id);
+    ev.End();
     // NCQ residency: completion posted -> drained by the driver.
-    {
-      ChromeEvent b;
-      b.ph = 'b';
-      b.ts = r.cqe_post;
-      b.pid = kTracePidNcq;
-      b.has_id = true;
-      b.id = r.id;
-      b.cat = "cqe";
-      b.name = "cqe " + RequestLabel(r) + " NCQ" + std::to_string(r.ncq);
-      out.push_back(b);
-      ChromeEvent e = b;
-      e.ph = 'e';
-      e.ts = r.drain;
-      out.push_back(e);
-    }
+    name = "cqe " + label + " NCQ";
+    AppendInt(name, r.ncq);
+    ev.BeginWithId('b', r.cqe_post, kTracePidNcq, 0, name, "cqe", r.id);
+    ev.End();
+    ev.BeginWithId('e', r.drain, kTracePidNcq, 0, name, "cqe", r.id);
+    ev.End();
     // Host-core instants + the cross-core IRQ hop flow arrow.
-    {
-      ChromeEvent i;
-      i.ph = 'i';
-      i.ts = r.submit;
-      i.pid = kTracePidHost;
-      i.tid = r.submit_core;
-      i.name = "submit rq" + std::to_string(r.id);
-      out.push_back(i);
-      ChromeEvent d = i;
-      d.ts = r.drain;
-      d.tid = r.irq_core;
-      d.name = "drain rq" + std::to_string(r.id);
-      out.push_back(d);
-      ChromeEvent c = i;
-      c.ts = r.complete;
-      c.tid = r.complete_core;
-      c.name = "complete rq" + std::to_string(r.id);
-      out.push_back(c);
-    }
+    auto instant = [&](const char* what, Tick at, int core) {
+      name = what;
+      AppendUInt(name, r.id);
+      ev.Begin('i', at, kTracePidHost, core).String(name);
+      ev.End();
+    };
+    instant("submit rq", r.submit, r.submit_core);
+    instant("drain rq", r.drain, r.irq_core);
+    instant("complete rq", r.complete, r.complete_core);
     if (r.complete_core != r.irq_core) {
-      ChromeEvent s;
-      s.ph = 's';
-      s.ts = r.drain;
-      s.pid = kTracePidHost;
-      s.tid = r.irq_core;
-      s.has_id = true;
-      s.id = r.id;
-      s.cat = "irq-hop";
-      s.name = "irq-hop";
-      out.push_back(s);
-      ChromeEvent f = s;
-      f.ph = 'f';
-      f.ts = r.complete;
-      f.tid = r.complete_core;
-      out.push_back(f);
+      ev.BeginWithId('s', r.drain, kTracePidHost, r.irq_core, "irq-hop",
+                     "irq-hop", r.id);
+      w.Key("bp").String("e");  // legacy flow finish binds to the enclosing slice
+      ev.End();
+      ev.BeginWithId('f', r.complete, kTracePidHost, r.complete_core,
+                     "irq-hop", "irq-hop", r.id);
+      w.Key("bp").String("e");
+      ev.End();
     }
   }
 
-  // NSQ head-occupancy: within one NSQ the controller fetches FIFO, so the
-  // request at the head occupies it from max(its visibility, the previous
-  // head's departure) until its own fetch start. These slices are disjoint
-  // by construction - exactly the HOL-blocking picture.
-  std::map<int, std::vector<const RequestRecord*>> by_nsq;
-  for (const RequestRecord& r : records) {
-    by_nsq[r.nsq].push_back(&r);
-  }
-  for (auto& [nsq, rqs] : by_nsq) {
-    std::sort(rqs.begin(), rqs.end(),
-              [](const RequestRecord* a, const RequestRecord* b) {
-                if (a->fetch_start != b->fetch_start) {
-                  return a->fetch_start < b->fetch_start;
-                }
-                return a->id < b->id;
-              });
-    Tick prev_departure = 0;
-    for (const RequestRecord* r : rqs) {
-      const Tick visible = r->doorbell > 0 ? r->doorbell : r->nsq_enqueue;
-      const Tick head_start = std::max(visible, prev_departure);
-      ChromeEvent x;
-      x.ph = 'X';
-      x.ts = head_start;
-      x.dur = r->fetch_start > head_start ? r->fetch_start - head_start : 0;
-      x.pid = kTracePidNsq;
-      x.tid = nsq;
-      x.name = RequestLabel(*r);
-      x.args.emplace_back("tenant", JsonString(TenantName(input, r->tenant_id)));
-      x.args.emplace_back("pages", std::to_string(r->pages));
-      out.push_back(x);
-      prev_departure = r->fetch_start;
+  // NSQ head occupancy: who sat at each queue head, for how long - the
+  // HOL-blocking picture.
+  for (const auto& [nsq, heads] : input.requests.heads()) {
+    for (const TimelineInterval& iv : heads) {
+      const RequestRecord& r = records[iv.record];
+      label.clear();
+      AppendLabel(label, r);
+      ev.Begin('X', iv.begin, kTracePidNsq, nsq,
+               iv.end > iv.begin ? iv.end - iv.begin : 0)
+          .String(label);
+      w.Key("args").BeginObject();
+      w.Key("tenant").String(TenantName(input, r.tenant_id, scratch));
+      w.Key("pages").UInt(r.pages);
+      w.EndObject();
+      ev.End();
     }
   }
 
   // Fetch engine: serialized in the controller, so plain X slices.
-  std::vector<const RequestRecord*> by_fetch;
-  by_fetch.reserve(records.size());
-  for (const RequestRecord& r : records) {
-    by_fetch.push_back(&r);
-  }
-  std::sort(by_fetch.begin(), by_fetch.end(),
-            [](const RequestRecord* a, const RequestRecord* b) {
-              if (a->fetch_start != b->fetch_start) {
-                return a->fetch_start < b->fetch_start;
-              }
-              return a->id < b->id;
-            });
-  for (const RequestRecord* r : by_fetch) {
-    ChromeEvent x;
-    x.ph = 'X';
-    x.ts = r->fetch_start;
-    x.dur = r->fetch > r->fetch_start ? r->fetch - r->fetch_start : 0;
-    x.pid = kTracePidDevice;
-    x.tid = 0;
-    x.name = "fetch " + RequestLabel(*r);
-    x.args.emplace_back("nsq", std::to_string(r->nsq));
-    out.push_back(x);
+  for (const TimelineInterval& iv : input.requests.fetches()) {
+    const RequestRecord& r = records[iv.record];
+    name = "fetch ";
+    AppendLabel(name, r);
+    ev.Begin('X', iv.begin, kTracePidDevice, 0,
+             iv.end > iv.begin ? iv.end - iv.begin : 0)
+        .String(name);
+    w.Key("args").BeginObject();
+    w.Key("nsq").Int(r.nsq);
+    w.EndObject();
+    ev.End();
   }
 }
 
-void BuildTraceEventInstants(const TraceExportInput& input,
-                             bool have_records,
-                             std::vector<ChromeEvent>& out) {
+void RenderTraceEventInstants(const TraceExportInput& input,
+                              EventRenderer& ev) {
+  const bool have_records = !input.requests.records().empty();
+  JsonWriter& w = ev.w();
+  std::string name;
+  // Instants whose args are {"nsq": a, "attempt": b}.
+  auto attempt = [&](const TraceEvent& te, const char* what) {
+    name = what;
+    AppendUInt(name, te.id);
+    ev.Begin('i', te.at, kTracePidControl, 0).String(name);
+    w.Key("args").BeginObject();
+    w.Key("nsq").Int(te.a);
+    w.Key("attempt").Int(te.b);
+    w.EndObject();
+    ev.End();
+  };
   for (const TraceEvent& te : input.events) {
-    ChromeEvent e;
-    e.ph = 'i';
-    e.ts = te.at;
     switch (te.category) {
       case TraceCategory::kDoorbell:
-        e.pid = kTracePidNsq;
-        e.tid = static_cast<int>(te.a);
-        e.name = "doorbell";
-        e.args.emplace_back("batch", std::to_string(te.b));
+        ev.Begin('i', te.at, kTracePidNsq, static_cast<int>(te.a))
+            .String("doorbell");
+        w.Key("args").BeginObject();
+        w.Key("batch").Int(te.b);
+        w.EndObject();
         break;
       case TraceCategory::kIrq:
-        e.pid = kTracePidHost;
-        e.tid = static_cast<int>(te.b);
-        e.name = "irq NCQ" + std::to_string(te.a);
+        name = "irq NCQ";
+        AppendInt(name, te.a);
+        ev.Begin('i', te.at, kTracePidHost, static_cast<int>(te.b))
+            .String(name);
         break;
       case TraceCategory::kSchedule:
-        e.pid = kTracePidControl;
-        e.tid = 0;
-        e.name = "nq-schedule";
-        e.args.emplace_back("id", std::to_string(te.id));
-        e.args.emplace_back("a", std::to_string(te.a));
-        e.args.emplace_back("b", std::to_string(te.b));
+        ev.Begin('i', te.at, kTracePidControl, 0).String("nq-schedule");
+        w.Key("args").BeginObject();
+        w.Key("id").UInt(te.id);
+        w.Key("a").Int(te.a);
+        w.Key("b").Int(te.b);
+        w.EndObject();
         break;
       case TraceCategory::kMigrate:
-        e.pid = kTracePidControl;
-        e.tid = 0;
-        e.name = "migrate tenant" + std::to_string(te.id);
-        e.args.emplace_back("a", std::to_string(te.a));
-        e.args.emplace_back("b", std::to_string(te.b));
+        name = "migrate tenant";
+        AppendUInt(name, te.id);
+        ev.Begin('i', te.at, kTracePidControl, 0).String(name);
+        w.Key("args").BeginObject();
+        w.Key("a").Int(te.a);
+        w.Key("b").Int(te.b);
+        w.EndObject();
         break;
       case TraceCategory::kSubmit:
+      case TraceCategory::kDeliver:
         // Redundant with record-derived instants when records exist (and the
         // trace ring may have dropped its oldest events, so records win).
         if (have_records) {
           continue;
         }
-        e.pid = kTracePidHost;
-        e.tid = static_cast<int>(te.a);
-        e.name = "submit rq" + std::to_string(te.id);
-        break;
-      case TraceCategory::kDeliver:
-        if (have_records) {
-          continue;
-        }
-        e.pid = kTracePidHost;
-        e.tid = static_cast<int>(te.a);
-        e.name = "deliver rq" + std::to_string(te.id);
+        name = te.category == TraceCategory::kSubmit ? "submit rq"
+                                                     : "deliver rq";
+        AppendUInt(name, te.id);
+        ev.Begin('i', te.at, kTracePidHost, static_cast<int>(te.a))
+            .String(name);
         break;
       // Fault-path events land on the control track: they are rare, global
       // in scope, and reading them against the NSQ/core tracks is exactly
@@ -424,46 +420,34 @@ void BuildTraceEventInstants(const TraceExportInput& input,
       // mirrors FaultKind (src/fault/fault_plan.h); stats sits below the
       // fault layer in the DAG, so the name table is not reachable here.
       case TraceCategory::kFaultInject:
-        e.pid = kTracePidControl;
-        e.tid = 0;
-        e.name = "fault-inject";
-        e.args.emplace_back("id", std::to_string(te.id));
-        e.args.emplace_back("where", std::to_string(te.a));
-        e.args.emplace_back("kind", std::to_string(te.b));
+        ev.Begin('i', te.at, kTracePidControl, 0).String("fault-inject");
+        w.Key("args").BeginObject();
+        w.Key("id").UInt(te.id);
+        w.Key("where").Int(te.a);
+        w.Key("kind").Int(te.b);
+        w.EndObject();
         break;
       case TraceCategory::kTimeout:
-        e.pid = kTracePidControl;
-        e.tid = 0;
-        e.name = "timeout rq" + std::to_string(te.id);
-        e.args.emplace_back("nsq", std::to_string(te.a));
-        e.args.emplace_back("attempt", std::to_string(te.b));
-        break;
+        attempt(te, "timeout rq");
+        continue;
       case TraceCategory::kRetry:
-        e.pid = kTracePidControl;
-        e.tid = 0;
-        e.name = "retry rq" + std::to_string(te.id);
-        e.args.emplace_back("nsq", std::to_string(te.a));
-        e.args.emplace_back("attempt", std::to_string(te.b));
-        break;
+        attempt(te, "retry rq");
+        continue;
       case TraceCategory::kAbort:
-        e.pid = kTracePidControl;
-        e.tid = 0;
-        e.name = "abort rq" + std::to_string(te.id);
-        e.args.emplace_back("nsq", std::to_string(te.a));
-        e.args.emplace_back("attempt", std::to_string(te.b));
-        break;
+        attempt(te, "abort rq");
+        continue;
       default:
         continue;  // lifecycle categories are covered by record slices
     }
-    out.push_back(e);
+    ev.End();
   }
 }
 
-void BuildCounterEvents(const TraceExportInput& input,
-                        std::vector<ChromeEvent>& out) {
+void RenderCounterEvents(const TraceExportInput& input, EventRenderer& ev) {
   if (input.sampler == nullptr) {
     return;
   }
+  JsonWriter& w = ev.w();
   const auto& times = input.sampler->times();
   for (const auto& [name, values] : input.sampler->series()) {
     bool all_zero = true;
@@ -477,86 +461,13 @@ void BuildCounterEvents(const TraceExportInput& input,
       continue;
     }
     for (size_t i = 0; i < times.size() && i < values.size(); ++i) {
-      ChromeEvent c;
-      c.ph = 'C';
-      c.ts = times[i];
-      c.pid = kTracePidCounters;
-      c.tid = 0;
-      c.name = name;
-      char buf[40];
-      std::snprintf(buf, sizeof(buf), "%.15g", values[i]);
-      c.args.emplace_back("value", buf);
-      out.push_back(c);
+      ev.Begin('C', times[i], kTracePidCounters, 0).String(name);
+      w.Key("args").BeginObject();
+      w.Key("value").Double(values[i]);
+      w.EndObject();
+      ev.End();
     }
   }
-}
-
-}  // namespace
-
-std::vector<ChromeEvent> BuildChromeEvents(const TraceExportInput& input) {
-  std::vector<ChromeEvent> meta;
-  std::vector<ChromeEvent> data;
-  BuildMetadata(input, input.requests, meta);
-  BuildRequestEvents(input, input.requests, data);
-  BuildTraceEventInstants(input, !input.requests.empty(), data);
-  BuildCounterEvents(input, data);
-  BuildSloEvents(input, data);
-  // Stable sort keeps emission order for equal timestamps, which preserves
-  // begin/end pairing within each request's nested async slices.
-  std::stable_sort(data.begin(), data.end(),
-                   [](const ChromeEvent& a, const ChromeEvent& b) {
-                     return a.ts < b.ts;
-                   });
-  meta.insert(meta.end(), data.begin(), data.end());
-  return meta;
-}
-
-// --- Serialization ---------------------------------------------------------
-
-namespace {
-
-// Chrome trace timestamps are microseconds; ticks are nanoseconds. Fixed
-// "<us>.<ns%1000>" formatting keeps the export byte-deterministic (no
-// floating-point rounding in play).
-std::string MicrosFromTicks(Tick ns) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%lld.%03lld",
-                static_cast<long long>(ns / 1000),
-                static_cast<long long>(ns % 1000));
-  return buf;
-}
-
-void AppendEventJson(JsonWriter& w, const ChromeEvent& e) {
-  w.BeginObject();
-  const char ph[2] = {e.ph, '\0'};
-  w.Key("ph").String(ph);
-  if (e.ph != 'M') {
-    w.Key("ts").Raw(MicrosFromTicks(e.ts));
-  }
-  if (e.ph == 'X') {
-    w.Key("dur").Raw(MicrosFromTicks(e.dur));
-  }
-  w.Key("pid").Int(e.pid);
-  w.Key("tid").Int(e.tid);
-  w.Key("name").String(e.name);
-  if (!e.cat.empty()) {
-    w.Key("cat").String(e.cat);
-  }
-  if (e.has_id) {
-    w.Key("id").String(std::to_string(e.id));
-  }
-  if (e.ph == 's' || e.ph == 'f') {
-    // Legacy flow finish binds to the enclosing slice.
-    w.Key("bp").String("e");
-  }
-  if (!e.args.empty()) {
-    w.Key("args").BeginObject();
-    for (const auto& [key, value] : e.args) {
-      w.Key(key).Raw(value);
-    }
-    w.EndObject();
-  }
-  w.EndObject();
 }
 
 void AppendRequestRecordJson(JsonWriter& w, const RequestRecord& r) {
@@ -588,7 +499,6 @@ void AppendRequestRecordJson(JsonWriter& w, const RequestRecord& r) {
 }  // namespace
 
 std::string SerializeChromeTrace(const TraceExportInput& input) {
-  const std::vector<ChromeEvent> events = BuildChromeEvents(input);
   JsonWriter w;
   w.BeginObject();
   w.Key("displayTimeUnit").String("ns");
@@ -598,15 +508,22 @@ std::string SerializeChromeTrace(const TraceExportInput& input) {
   w.Key("nr_nsq").Int(input.nr_nsq);
   w.Key("nr_ncq").Int(input.nr_ncq);
   w.Key("trace_events").UInt(input.events.size());
-  w.Key("request_records").UInt(input.requests.size());
+  w.Key("request_records").UInt(input.requests.records().size());
   w.EndObject();
   w.Key("traceEvents").BeginArray();
-  for (const ChromeEvent& e : events) {
-    AppendEventJson(w, e);
+  {
+    EventRenderer ev;
+    RenderMetadata(input, ev);
+    ev.EndMetadata();
+    RenderRequestEvents(input, ev);
+    RenderTraceEventInstants(input, ev);
+    RenderCounterEvents(input, ev);
+    RenderSloEvents(input, ev);
+    ev.Splice(w);
   }
   w.EndArray();
   w.Key("ddRequests").BeginArray();
-  for (const RequestRecord& r : input.requests) {
+  for (const RequestRecord& r : input.requests.records()) {
     AppendRequestRecordJson(w, r);
   }
   w.EndArray();

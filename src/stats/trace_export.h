@@ -18,6 +18,14 @@
 //     occupancy, run-queue lengths),
 //   * instant events for doorbells, IRQs, NQ-scheduling and migrations.
 //
+// The NSQ and fetch-engine tracks draw the intervals of the run's one
+// RequestTimeline (holb.h), the same ones the HOL and SLO passes read. The
+// exporter renders each event once, in emission order, into one buffer and
+// keeps a (ts, byte range) key per event; it then sorts the keys and splices
+// the ranges into the document, metadata first. Equal timestamps keep
+// emission order, which keeps each request's nested begin/end pairs
+// balanced.
+//
 // Everything here is post-processing: building and serializing the trace
 // reads simulation state but never schedules events or mutates it, so an
 // export-enabled run is simulated-time identical to a disabled one.
@@ -28,12 +36,12 @@
 #include <map>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "src/sim/bounded_ring.h"
 #include "src/sim/trace.h"
 #include "src/stack/request.h"
+#include "src/stats/holb.h"
 
 namespace daredevil {
 
@@ -41,36 +49,6 @@ class StateSampler;  // src/stats/state_sampler.h
 struct SloReport;    // src/stats/slo.h
 
 // --- Per-request lifecycle capture ---------------------------------------
-
-// Compact snapshot of one completed request's stage timeline, captured on
-// delivery (requests are pooled and reused by the workload layer, so the
-// stamps must be copied out before recycling). This is the exporter's and
-// the HOL-blocking analyzer's ground truth.
-struct RequestRecord {
-  uint64_t id = 0;
-  uint64_t tenant_id = 0;
-  uint32_t pages = 1;
-  bool is_write = false;
-  bool latency_sensitive = false;  // realtime ionice (L-tenant) at delivery
-  int nsq = -1;                    // NSQ the request was routed to
-  int ncq = -1;                    // NCQ the completion came back on
-  int submit_core = 0;
-  int irq_core = 0;       // core that drained the CQE
-  int complete_core = 0;  // tenant core the completion was delivered on
-
-  // The monotonic stage chain (see Request in src/stack/request.h).
-  Tick issue = 0;
-  Tick submit = 0;
-  Tick nsq_enqueue = 0;
-  Tick doorbell = 0;
-  Tick fetch_start = 0;
-  Tick fetch = 0;
-  Tick flash_start = 0;
-  Tick flash_end = 0;
-  Tick cqe_post = 0;
-  Tick drain = 0;
-  Tick complete = 0;
-};
 
 // Bounded log of completed-request records (a BoundedRing, like TraceLog),
 // fed by the storage stack's completion delivery path.
@@ -103,30 +81,15 @@ inline constexpr int kTracePidCounters = 6;  // StateSampler counter tracks
 inline constexpr int kTracePidControl = 7;   // scheduling / migration events
 inline constexpr int kTracePidSlo = 8;       // per-tenant SLO violation tracks
 
-// One Chrome trace event before serialization (exposed so tests can verify
-// well-formedness - slice nesting, non-overlap - without a JSON parser).
-struct ChromeEvent {
-  char ph = 'X';  // B/E/X/b/e/i/C/s/f/M
-  Tick ts = 0;    // nanoseconds (serialized as microseconds)
-  Tick dur = 0;   // X events only
-  int pid = 0;
-  int tid = 0;
-  bool has_id = false;
-  uint64_t id = 0;  // async/flow id
-  std::string name;
-  std::string cat;
-  // Pre-rendered JSON values, e.g. {"pages", "32"} or {"tenant", "\"L0\""}.
-  std::vector<std::pair<std::string, std::string>> args;
-};
-
 struct TraceExportInput {
   std::string stack_name;
   int num_cores = 0;
   int nr_nsq = 0;
   int nr_ncq = 0;
   std::vector<TraceEvent> events;  // TraceLog::Events(), may be empty
-  // Completed-request records (RequestTimelineLog::Records()); may be empty.
-  std::vector<RequestRecord> requests;
+  // Completed-request records (RequestTimelineLog::Records()) with their
+  // derived head and fetch intervals; may be empty.
+  RequestTimeline requests;
   const StateSampler* sampler = nullptr;      // optional counter tracks
   // Optional finalized SLO report: renders violation episodes as slices and
   // per-window burn rates as counters on per-tenant SLO tracks.
@@ -134,11 +97,6 @@ struct TraceExportInput {
   std::map<uint64_t, std::string> tenant_names;  // id -> display name
   std::map<int, std::string> nsq_labels;      // per-stack track naming
 };
-
-// Builds the event list (metadata events first, then data events in
-// timestamp order; equal timestamps keep emission order, which preserves
-// correct begin/end nesting).
-std::vector<ChromeEvent> BuildChromeEvents(const TraceExportInput& input);
 
 // Full JSON document: {"traceEvents":[...],"displayTimeUnit":"ns",
 // "otherData":{...},"ddRequests":[...],"ddSampler":{...}}. The ddRequests /

@@ -475,15 +475,17 @@ ScenarioResult ScenarioEnv::Run() {
   if (timeline_log() != nullptr) {
     result.timeline_total = timeline_log()->total_recorded();
     result.timeline_dropped = timeline_log()->dropped();
-    std::vector<RequestRecord> records = timeline_log()->Records();
+    // The one interval derivation: HOL attribution, SLO blame and the
+    // export's NSQ and fetch-engine tracks all read it.
+    RequestTimeline timeline(timeline_log()->Records());
 
     HolbOptions holb_opts;
     holb_opts.tenant_names = tenant_names;
-    result.holb = AnalyzeHolBlocking(records, holb_opts);
+    result.holb = AnalyzeHolBlocking(timeline, holb_opts);
 
     // Cross-link violation episodes with their dominant blockers before the
     // export so the trace slices carry the attribution.
-    AttributeSloEpisodes(result.slo, records, tenant_names);
+    AttributeSloEpisodes(result.slo, timeline, tenant_names);
 
     if (config_.export_trace) {
       TraceExportInput input;
@@ -494,7 +496,7 @@ ScenarioResult ScenarioEnv::Run() {
       if (trace_log() != nullptr) {
         input.events = trace_log()->Events();
       }
-      input.requests = std::move(records);  // HOL and SLO are done with them
+      input.requests = std::move(timeline);  // HOL and SLO are done with it
       input.sampler = sampler_.get();
       input.slo = &result.slo;
       input.tenant_names = std::move(tenant_names);

@@ -125,6 +125,32 @@ TEST(SloTrackerTest, OutOfRangeDeliveriesAreCountedAsIgnored) {
   EXPECT_DOUBLE_EQ(r->conformance_pct, 100.0);
 }
 
+TEST(SloTrackerTest, StarvedTenantMissesItsObjective) {
+  // A tenant with no delivery in the evaluated range has no conformance to
+  // report: it is starved and misses, while a served tenant still meets.
+  SloTracker tracker({TestSpec("L", 10, 100)}, /*origin=*/100,
+                     /*horizon=*/200);
+  SloTenantState* starved = tracker.AddTenant("L0", "L", 1);
+  SloTenantState* served = tracker.AddTenant("L1", "L", 2);
+  ASSERT_NE(starved, nullptr);
+  ASSERT_NE(served, nullptr);
+  starved->Record(50, 5, true);  // before the origin: ignored
+  served->Record(150, 5, true);
+  const SloReport report = tracker.Finalize();
+  const SloTenantReport* r = report.Find("L0");
+  ASSERT_NE(r, nullptr);
+  EXPECT_EQ(r->total(), 0u);
+  EXPECT_FALSE(r->met);
+  EXPECT_TRUE(report.Find("L1")->met);
+  JsonWriter w;
+  report.AppendJson(w);
+  EXPECT_NE(w.str().find("\"met\":false,\"starved\":true"), std::string::npos)
+      << w.str();
+  EXPECT_EQ(w.str().find("\"starved\""), w.str().rfind("\"starved\""))
+      << "only the starved tenant carries the key";
+  EXPECT_NE(report.ToTable().find("starved"), std::string::npos);
+}
+
 TEST(SloTrackerTest, ExtremeTargetPercentileIsClampedNotDivByZero) {
   SloSpec spec = TestSpec("L0", 10, 100, /*target=*/100.0);
   SloTracker tracker({spec}, 0, 1000);
@@ -200,24 +226,34 @@ TEST(SloAttributionTest, EpisodeCarriesDominantBlocker) {
 }
 
 TEST(SloAttributionTest, VictimFiltersRestrictTheHolbPass) {
+  // An episode's victims are its tenant's requests completing in
+  // [begin, end): here the tenant-1 request completing at 490, which the
+  // bulk tenant-9 request blocked for 250ns.
   const std::vector<RequestRecord> records = {
       MakeRecord(1, 9, 0, 100, 200, 400, 32, false),
       MakeRecord(2, 1, 0, 150, 400, 410, 1, true),  // completes at 490
   };
-  HolbOptions opts;
-  opts.victims_latency_sensitive_only = false;
-  opts.victim_tenant_id = 1;
-  opts.victim_complete_begin = 0;
-  opts.victim_complete_end = 100;  // excludes the completion at 490
-  EXPECT_EQ(AnalyzeHolBlocking(records, opts).victims, 0u);
-  opts.victim_complete_end = 500;
-  const HolbReport hr = AnalyzeHolBlocking(records, opts);
-  EXPECT_EQ(hr.victims, 1u);
-  EXPECT_EQ(hr.total_wait_ns, 250);
-  // The tenant filter must also exclude the bulk request as a victim.
-  opts.victim_tenant_id = 9;
-  opts.victim_complete_end = -1;
-  EXPECT_EQ(AnalyzeHolBlocking(records, opts).victims, 1u);
+  auto blame = [&records](uint64_t tenant_id, Tick begin, Tick end) {
+    SloReport report;
+    SloTenantReport& r = report.tenants["X"];
+    r.tenant = "X";
+    r.tenant_id = tenant_id;
+    SloEpisode ep;
+    ep.begin = begin;
+    ep.end = end;
+    ep.mechanism = "unattributed";
+    r.episodes.push_back(ep);
+    AttributeSloEpisodes(report, records, {{1, "L0"}, {9, "T9"}});
+    return r.episodes[0];
+  };
+  EXPECT_EQ(blame(1, 0, 100).blame, "");  // excludes the completion at 490
+  EXPECT_EQ(blame(1, 0, 490).blame, "");  // the end is exclusive
+  const SloEpisode hit = blame(1, 490, 500);  // the begin is inclusive
+  EXPECT_EQ(hit.blame, "T9");
+  EXPECT_EQ(hit.blame_ns, 250);
+  // The tenant filter also excludes the tenant-1 request from a tenant-9
+  // episode; the bulk request itself waited behind nobody.
+  EXPECT_EQ(blame(9, 0, 1000).blame, "");
 }
 
 TEST(SloAttributionTest, UnattributedEpisodeStaysNamedAsSuch) {

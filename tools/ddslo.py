@@ -12,6 +12,8 @@ The report has two views:
   per-tenant   one row per (source, run, tenant): the objective, conformance,
                budget burn, violation episodes and the dominant blocker of
                the worst episode (as attributed by the HOL-blocking pass).
+               A tenant with no delivery in the window shows "starved" and
+               counts as missed.
   per-stack    a rollup keyed by the run label's stack prefix ("vanilla" in
                "vanilla/nt=16"): how many tenant-runs met their objective,
                the worst conformance and budget burn, and how many episodes
@@ -84,7 +86,8 @@ def collect(paths):
                     "good": rep["good"],
                     "bad": rep["bad"],
                     "conformance_pct": rep["conformance_pct"],
-                    "met": bool(rep["met"]),
+                    "met": bool(rep["met"]) and not rep.get("starved"),
+                    "starved": bool(rep.get("starved")),
                     "budget_burned": rep["budget_burned"],
                     "episodes": len(rep.get("episodes", [])),
                     "attributed": sum(1 for ep in rep.get("episodes", [])
@@ -126,7 +129,8 @@ def tenant_cells(row):
     if row["worst_blame"]:
         blocker = f"{row['worst_blame']} ({row['worst_mechanism']})"
     return (row["source"], row["label"], row["tenant"], row["objective"],
-            fmt_pct(row["conformance_pct"]), "yes" if row["met"] else "NO",
+            fmt_pct(row["conformance_pct"]),
+            "starved" if row["starved"] else "yes" if row["met"] else "NO",
             f"{row['budget_burned']:.2f}x", str(row["episodes"]), blocker)
 
 

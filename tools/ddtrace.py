@@ -7,25 +7,26 @@ Chrome Trace Event Format JSON that loads in ui.perfetto.dev. This tool works
 on that file without a browser:
 
   --check    Structural validation: JSON parses, required top-level keys
-             exist, every async 'b' has a matching 'e' (per pid/cat/id/name),
+             exist, metadata ('M') events come first and data timestamps
+             never decrease, async and flow events carry an id, every async
+             'b' has a matching later 'e' (per pid/cat/id/name), every flow
+             's' has an 'f' with the same id and cat no earlier than it,
              'X' slices never overlap within a (pid, tid) track, timestamps
              are non-negative and durations monotone. Exit 1 on any failure.
   --summary  Event/track counts and the simulated time span.
-  --holb     Recompute the head-of-line blocking attribution from the
-             ddRequests side-channel (same derivation as src/stats/holb.cc)
-             and print blocker rankings by tenant and size class.
+
+The HOL-blocking attribution is not recomputed here: the exporter's holb and
+slo report sections (src/stats/holb.cc) are its one derivation.
 
 Usage
   tools/ddtrace.py --check trace.json
-  tools/ddtrace.py --summary --holb trace.json
+  tools/ddtrace.py --check --summary trace.json
 """
 
 import argparse
 import json
 import sys
 from collections import Counter, defaultdict
-
-BULK_THRESHOLD_PAGES = 32  # 128KB in 4KB pages
 
 
 def load(path):
@@ -45,25 +46,42 @@ def check(doc):
 
     async_balance = Counter()
     x_tracks = defaultdict(list)
+    flows = {"s": defaultdict(list), "f": defaultdict(list)}  # (id, cat) -> ts
+    seen_data = False
+    last_ts = 0
     for i, e in enumerate(events):
         ph = e.get("ph")
         if ph is None or "pid" not in e or "name" not in e:
             problems.append(f"event {i}: missing ph/pid/name")
             continue
         ts = e.get("ts")
-        if ph != "M":
-            if ts is None or ts < 0:
-                problems.append(f"event {i}: bad ts {ts!r}")
-                continue
+        if ph == "M":
+            if seen_data:
+                problems.append(f"event {i}: metadata after data events")
+            continue
+        if ts is None or ts < 0:
+            problems.append(f"event {i}: bad ts {ts!r}")
+            continue
+        if seen_data and ts < last_ts:
+            problems.append(f"event {i}: ts {ts} before the previous {last_ts}")
+        seen_data = True
+        last_ts = ts
+        if ph in "besf" and "id" not in e:
+            problems.append(f"event {i}: '{ph}' event without id")
         if ph == "b":
             async_balance[(e["pid"], e.get("cat"), e.get("id"), e["name"])] += 1
         elif ph == "e":
-            async_balance[(e["pid"], e.get("cat"), e.get("id"), e["name"])] -= 1
+            key = (e["pid"], e.get("cat"), e.get("id"), e["name"])
+            async_balance[key] -= 1
+            if async_balance[key] < 0:
+                problems.append(f"event {i}: async 'e' before its 'b'")
         elif ph == "X":
             dur = e.get("dur", 0)
             if dur < 0:
                 problems.append(f"event {i}: negative dur {dur}")
             x_tracks[(e["pid"], e.get("tid", 0))].append((ts, ts + dur, i))
+        elif ph in flows:
+            flows[ph][(e.get("id"), e.get("cat"))].append(ts)
 
     unbalanced = [k for k, v in async_balance.items() if v != 0]
     for key in unbalanced[:10]:
@@ -71,6 +89,16 @@ def check(doc):
                         f"id={key[2]} name={key[3]}")
     if len(unbalanced) > 10:
         problems.append(f"... and {len(unbalanced) - 10} more unbalanced pairs")
+
+    # Flows pair in time order per (id, cat): the k-th 's' with the k-th 'f'.
+    for key in sorted(flows["s"].keys() | flows["f"].keys(), key=str):
+        starts = sorted(flows["s"].get(key, []))
+        finishes = sorted(flows["f"].get(key, []))
+        if len(starts) != len(finishes):
+            problems.append(f"unpaired flow: id={key[0]} cat={key[1]} has "
+                            f"{len(starts)} s and {len(finishes)} f")
+        elif any(s > f for s, f in zip(starts, finishes)):
+            problems.append(f"flow f before its s: id={key[0]} cat={key[1]}")
 
     for (pid, tid), slices in x_tracks.items():
         slices.sort()
@@ -109,99 +137,6 @@ def summary(doc):
               f"{sampler.get('interval_ns', 0)}ns")
 
 
-def holb(doc, top_n=10):
-    """Recomputes the attribution pass from the ddRequests side-channel."""
-    records = doc.get("ddRequests", [])
-    if not records:
-        print("no ddRequests side-channel in this trace "
-              "(was export_trace enabled?)")
-        return
-
-    # Head-occupancy intervals per NSQ (FIFO fetch: head_start is the later
-    # of the command's visibility and the previous head's departure).
-    heads_by_nsq = defaultdict(list)
-    own_head_start = {}
-    by_nsq = defaultdict(list)
-    for r in records:
-        by_nsq[r["nsq"]].append(r)
-    for nsq, rqs in by_nsq.items():
-        rqs.sort(key=lambda r: (r["fetch_start"], r["id"]))
-        prev_departure = 0
-        for r in rqs:
-            visible = r["doorbell"] if r["doorbell"] > 0 else r["nsq_enqueue"]
-            head_start = max(visible, prev_departure)
-            heads_by_nsq[nsq].append((head_start, r["fetch_start"], r))
-            own_head_start[id(r)] = head_start
-            prev_departure = r["fetch_start"]
-    fetches = sorted(((r["fetch_start"], r["fetch"], r) for r in records),
-                     key=lambda iv: (iv[0], iv[2]["id"]))
-
-    def overlap(a0, a1, b0, b1):
-        lo, hi = max(a0, b0), min(a1, b1)
-        return hi - lo if hi > lo else 0
-
-    by_tenant = defaultdict(lambda: [0, 0, 0])  # events, head_ns, fetch_ns
-    by_size = defaultdict(lambda: [0, 0, 0])
-    victims = 0
-    total_wait = head_total = fetch_total = 0
-
-    def size_key(pages):
-        return (f"bulk(>={BULK_THRESHOLD_PAGES}p)"
-                if pages >= BULK_THRESHOLD_PAGES
-                else f"small(<{BULK_THRESHOLD_PAGES}p)")
-
-    for victim in records:
-        if not victim.get("ls"):
-            continue
-        victims += 1
-        w0, w1 = victim["nsq_enqueue"], victim["fetch_start"]
-        if w1 <= w0:
-            continue
-        total_wait += w1 - w0
-        for h0, h1, blocker in heads_by_nsq[victim["nsq"]]:
-            if blocker is victim:
-                continue
-            ns = overlap(w0, w1, h0, h1)
-            if ns <= 0:
-                continue
-            head_total += ns
-            for table, key in ((by_tenant, f"tenant{blocker['tenant']}"),
-                               (by_size, size_key(blocker["pages"]))):
-                table[key][0] += 1
-                table[key][1] += ns
-        h0 = own_head_start.get(id(victim), w1)
-        if h0 < w1:
-            for f0, f1, blocker in fetches:
-                if blocker is victim:
-                    continue
-                if f0 >= w1:
-                    break
-                ns = overlap(h0, w1, f0, f1)
-                if ns <= 0:
-                    continue
-                fetch_total += ns
-                for table, key in ((by_tenant, f"tenant{blocker['tenant']}"),
-                                   (by_size, size_key(blocker["pages"]))):
-                    table[key][0] += 1
-                    table[key][2] += ns
-
-    residual = max(0, total_wait - head_total - fetch_total)
-    print(f"HOL-blocking attribution: {victims} victims, "
-          f"total NSQ wait {total_wait / 1000.0:.1f}us "
-          f"(head {head_total / 1000.0:.1f}us, "
-          f"fetch-slot {fetch_total / 1000.0:.1f}us, "
-          f"residual {residual / 1000.0:.1f}us)")
-    for title, table in (("by tenant", by_tenant), ("by size class", by_size)):
-        rows = sorted(table.items(), key=lambda kv: -(kv[1][1] + kv[1][2]))
-        print(f"blockers {title}:")
-        print(f"  {'blocker':<16} {'events':>8} {'head-us':>12} "
-              f"{'fetch-us':>12} {'total-us':>12}")
-        for key, (events, head_ns, fetch_ns) in rows[:top_n]:
-            print(f"  {key:<16} {events:>8} {head_ns / 1000.0:>12.1f} "
-                  f"{fetch_ns / 1000.0:>12.1f} "
-                  f"{(head_ns + fetch_ns) / 1000.0:>12.1f}")
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("trace", help="exported Chrome-trace JSON file")
@@ -209,12 +144,8 @@ def main():
                         help="validate structure; exit 1 on problems")
     parser.add_argument("--summary", action="store_true",
                         help="print event/track counts and the time span")
-    parser.add_argument("--holb", action="store_true",
-                        help="recompute HOL-blocking attribution")
-    parser.add_argument("--top", type=int, default=10,
-                        help="rows per blocker ranking (default 10)")
     args = parser.parse_args()
-    if not (args.check or args.summary or args.holb):
+    if not (args.check or args.summary):
         args.check = True
 
     try:
@@ -237,8 +168,6 @@ def main():
                   f"{len(doc.get('traceEvents', []))} events valid")
     if args.summary:
         summary(doc)
-    if args.holb:
-        holb(doc, args.top)
     return status
 
 
