@@ -37,16 +37,13 @@ int main() {
       AddTTenants(cfg, n_t);
       const ScenarioResult r = RunScenario(cfg);
       json.Add(std::string(StackKindName(kind)) + "/nt=" + std::to_string(n_t), r);
+      const double submitted = r.Metric("stack.requests_submitted");
+      const double completed = r.Metric("stack.requests_completed");
       const double lock_per_rq =
-          r.requests_submitted > 0
-              ? static_cast<double>(r.lock_wait_ns) /
-                    static_cast<double>(r.requests_submitted)
-              : 0.0;
+          submitted > 0 ? r.Metric("stack.lock_wait_ns") / submitted : 0.0;
       const double xcore =
-          r.requests_completed > 0
-              ? static_cast<double>(r.cross_core_completions) /
-                    static_cast<double>(r.requests_completed)
-              : 0.0;
+          completed > 0 ? r.Metric("stack.cross_core_completions") / completed
+                        : 0.0;
       single.AddRow({std::to_string(n_t), std::string(StackKindName(kind)),
                      FormatMs(static_cast<double>(r.P999Ns("L"))),
                      FormatMs(static_cast<double>(r.P99Ns("L"))),

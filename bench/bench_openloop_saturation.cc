@@ -61,9 +61,9 @@ int main() {
       WarnOnTraceDrops(label, r);
       const Histogram& latency = r.Find("L")->latency;
       table.AddRow({std::to_string(n_t), std::string(StackKindName(kind)),
-                    FormatMs(latency.Mean()),
-                    FormatMs(static_cast<double>(latency.P99())),
-                    FormatMs(static_cast<double>(latency.P999())),
+                    LatencyCell(latency, latency.Mean()),
+                    LatencyCell(latency, static_cast<double>(latency.P99())),
+                    LatencyCell(latency, static_cast<double>(latency.P999())),
                     FormatCount(r.Iops("L")),
                     FormatCount(r.Metric("workload.L.dropped")), SloCell(r.slo),
                     FormatCount(static_cast<double>(r.total_errored))});

@@ -68,6 +68,13 @@ inline std::string SloCell(const SloReport& slo) {
   return met ? cell : "MISS " + cell;
 }
 
+// Latency cell for bench tables: `ns` (a statistic of `latency`) in ms, or
+// "starved" when the histogram holds no samples. An empty histogram's mean
+// and percentiles read 0, which would otherwise print as the fastest cell.
+inline std::string LatencyCell(const Histogram& latency, double ns) {
+  return latency.count() == 0 ? "starved" : FormatMs(ns);
+}
+
 // DD_TRACE_JSON=<path>: benches that support timeline tracing export a
 // Chrome-trace/Perfetto JSON of their tracing-enabled scenario to this path
 // (load it at ui.perfetto.dev; see EXPERIMENTS.md "Capturing and viewing

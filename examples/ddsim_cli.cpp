@@ -174,11 +174,12 @@ int main(int argc, char** argv) {
   std::printf(
       "\ncpu=%.1f%% cross-core-completions=%llu lock-wait=%.1fus requeues=%llu "
       "irqs=%llu migrations=%llu\n",
-      r.cpu_util * 100.0, static_cast<unsigned long long>(r.cross_core_completions),
-      static_cast<double>(r.lock_wait_ns) / 1000.0,
-      static_cast<unsigned long long>(r.requeues),
-      static_cast<unsigned long long>(r.irqs_total),
-      static_cast<unsigned long long>(r.migrations));
+      r.cpu_util * 100.0,
+      static_cast<unsigned long long>(r.Metric("stack.cross_core_completions")),
+      r.Metric("stack.lock_wait_ns") / 1000.0,
+      static_cast<unsigned long long>(r.Metric("stack.requeues")),
+      static_cast<unsigned long long>(r.Metric("device.irqs_total")),
+      static_cast<unsigned long long>(r.Metric("blkswitch.migrations")));
   if (!opts.trace_csv.empty()) {
     std::ofstream out(opts.trace_csv);
     out << env.trace_log()->ToCsv();

@@ -178,7 +178,7 @@ void AppendHistogramJson(JsonWriter& w, const Histogram& h) {
 std::string HistogramToJson(const Histogram& h) {
   JsonWriter w;
   AppendHistogramJson(w, h);
-  return w.str();
+  return w.Take();
 }
 
 // --- StageBreakdown -------------------------------------------------------
@@ -300,7 +300,7 @@ std::string MetricsRegistry::ToJson() const {
     AppendHistogramJson(w, hist);
   }
   w.EndObject();
-  return w.str();
+  return w.Take();
 }
 
 // --- Machine gauges -------------------------------------------------------

@@ -16,6 +16,7 @@
 #include <map>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "src/stats/histogram.h"
@@ -58,6 +59,8 @@ class JsonWriter {
   JsonWriter& Raw(std::string_view json);
 
   const std::string& str() const { return out_; }
+  // Moves the finished document out (no copy); the writer is left empty.
+  std::string Take() { return std::move(out_); }
 
  private:
   void BeforeValue();

@@ -110,8 +110,9 @@ SloReport SloTracker::Finalize() const {
     r.ignored = state->ignored_;
     const double budget = BudgetFraction(r.spec);
     const uint64_t total = r.total();
+    // A starved tenant had no request meet the objective: 0, not 100.
     r.conformance_pct =
-        total == 0 ? 100.0
+        total == 0 ? 0.0
                    : 100.0 * static_cast<double>(r.good) /
                          static_cast<double>(total);
     r.starved = total == 0;
@@ -223,7 +224,7 @@ double SloReport::AggregateConformancePct() const {
     good += r.good;
     total += r.total();
   }
-  return total == 0 ? 100.0
+  return total == 0 ? 0.0
                     : 100.0 * static_cast<double>(good) /
                           static_cast<double>(total);
 }

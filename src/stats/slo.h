@@ -112,7 +112,7 @@ struct SloTenantReport {
   uint64_t good = 0;
   uint64_t bad = 0;
   uint64_t ignored = 0;  // deliveries outside [origin, horizon)
-  double conformance_pct = 100.0;  // 100 * good / (good + bad)
+  double conformance_pct = 100.0;  // 100 * good / (good + bad); 0 if starved
   // conformance_pct >= target_percentile, and false when starved.
   bool met = true;
   bool starved = false;  // no delivery in the evaluated range (total() == 0)

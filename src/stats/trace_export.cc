@@ -532,7 +532,7 @@ std::string SerializeChromeTrace(const TraceExportInput& input) {
     input.sampler->Snapshot().AppendJson(w);
   }
   w.EndObject();
-  return w.str();
+  return w.Take();
 }
 
 // --- JSON validation -------------------------------------------------------

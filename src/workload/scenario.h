@@ -110,17 +110,7 @@ struct ScenarioResult {
   // stack.*, workload.*, plus stack-specific namespaces).
   std::map<std::string, double> metrics;
 
-  // Convenience fields filled from the metrics snapshot.
   double cpu_util = 0.0;
-  uint64_t cross_core_completions = 0;
-  uint64_t requeues = 0;
-  uint64_t migrations = 0;  // blk-switch only
-  Tick lock_wait_ns = 0;
-  uint64_t irqs_total = 0;
-  uint64_t commands_fetched = 0;
-  uint64_t commands_completed = 0;
-  uint64_t requests_submitted = 0;
-  uint64_t requests_completed = 0;
   uint64_t total_issued = 0;
   uint64_t total_completed = 0;
 

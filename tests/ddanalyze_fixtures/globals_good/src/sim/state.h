@@ -1,6 +1,7 @@
 // GOOD: immutable static storage in all its spellings, plus one waived
 // legacy knob. None of this is flagged: shared-immutable is shard-safe.
-#pragma once
+#ifndef DAREDEVIL_SRC_SIM_STATE_H_
+#define DAREDEVIL_SRC_SIM_STATE_H_
 
 constexpr int kMaxShards = 64;
 const char* const kName = "daredevil";
@@ -26,3 +27,5 @@ inline int Lookup(int i) {
 inline int Twice(int x) { return 2 * x; }
 
 int g_legacy_knob = 1;  // ddanalyze: global-ok(burning down under ROADMAP item 2)
+
+#endif  // DAREDEVIL_SRC_SIM_STATE_H_

@@ -1,9 +1,15 @@
 // Tests for tools/ddanalyze: the layer table itself, and the fixture corpus
 // under tests/ddanalyze_fixtures/. Every *_bad tree must produce its known
-// findings; every *_good tree must come back clean (waivers included).
+// findings; every *_good tree must come back clean (waivers included; a
+// waived source-hygiene site is a ratchet count, not an error).
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -155,7 +161,7 @@ TEST(GlobalState, BadFixtureFlagsEveryMutableStaticShape) {
   // g_total, g_remote, kRetries, thread_local, the two class statics, the
   // local static.
   EXPECT_EQ(FlaggedLines(r.ratchet, "global-state", "state.h"),
-            (std::vector<int>{6, 7, 8, 10, 13, 14, 20}));
+            (std::vector<int>{7, 8, 9, 11, 14, 15, 21}));
   ASSERT_EQ(r.ratchet_counts.count("global-state.sim"), 1u);
   EXPECT_EQ(r.ratchet_counts.at("global-state.sim"), 7);
 }
@@ -228,6 +234,163 @@ TEST(RngDiscipline, GoodFixtureAllowsLookAlikesAndWaivedCall) {
   EXPECT_TRUE(r.errors.empty()) << r.errors.size() << " unexpected finding(s), "
                                 << "first: "
                                 << (r.errors.empty() ? "" : r.errors[0].message);
+}
+
+// --- Source-hygiene passes ------------------------------------------------
+
+TEST(BareAssert, BadFixtureFlagsCallsMacroBodiesAndBothHeaders) {
+  const AnalysisResult r = Analyze(FixtureRoot("assert_bad"));
+  EXPECT_EQ(r.errors.size(), 5u);
+  // <assert.h>, <cassert>, the macro body, the call, and the call whose
+  // waiver names another rule's token.
+  EXPECT_EQ(FlaggedLines(r.errors, "bare-assert", "checks.cc"),
+            (std::vector<int>{2, 3, 5, 10, 16}));
+  EXPECT_TRUE(HasFinding(r.errors, "bare-assert", "checks.cc",
+                         "use DD_CHECK/DD_CHECK_LE/DD_FAIL"));
+  EXPECT_TRUE(r.ratchet_counts.empty());
+}
+
+TEST(BareAssert, GoodFixtureAllowsStaticAssertLookAlikesAndWaivedSite) {
+  const AnalysisResult r = Analyze(FixtureRoot("assert_good"));
+  EXPECT_TRUE(r.errors.empty()) << "first: "
+                                << (r.errors.empty() ? "" : r.errors[0].message);
+  EXPECT_EQ(r.ratchet_counts,
+            (std::map<std::string, int>{{"waived.bare-assert.core", 1}}));
+}
+
+TEST(PageLiteral, BadFixtureFlagsEverySpelling) {
+  const AnalysisResult r = Analyze(FixtureRoot("page_bad"));
+  EXPECT_EQ(r.errors.size(), 4u);
+  // The macro, the plain, suffixed and floating literals.
+  EXPECT_EQ(FlaggedLines(r.errors, "page-literal", "geometry.h"),
+            (std::vector<int>{7, 9, 10, 11}));
+  EXPECT_TRUE(
+      HasFinding(r.errors, "page-literal", "geometry.h", "from kPageBytes"));
+}
+
+TEST(PageLiteral, GoodFixtureAllowsLookAlikeNumbersAndWaivedDefinition) {
+  const AnalysisResult r = Analyze(FixtureRoot("page_good"));
+  EXPECT_TRUE(r.errors.empty()) << "first: "
+                                << (r.errors.empty() ? "" : r.errors[0].message);
+  EXPECT_EQ(r.ratchet_counts,
+            (std::map<std::string, int>{{"waived.page-literal.nvme", 1}}));
+}
+
+TEST(EngineAlloc, BadFixtureFlagsEveryAllocationShape) {
+  const AnalysisResult r = Analyze(FixtureRoot("alloc_bad"));
+  EXPECT_EQ(r.errors.size(), 9u);
+  // std::function, make_unique, make_shared, malloc, calloc, new, realloc,
+  // the new under another rule's waiver token, and the macro body's new.
+  EXPECT_EQ(FlaggedLines(r.errors, "engine-alloc", "engine/pool.h"),
+            (std::vector<int>{10, 11, 12, 13, 14, 15, 16, 18, 21}));
+  for (const char* what : {"std::function (type-erased heap captures)",
+                           "heap allocation helper", "C heap allocation",
+                           "non-placement new"}) {
+    EXPECT_TRUE(HasFinding(r.errors, "engine-alloc", "engine/pool.h", what))
+        << what;
+  }
+  EXPECT_TRUE(r.ratchet_counts.empty());
+}
+
+TEST(EngineAlloc, GoodFixtureAllowsPlacementNewTheNewHeaderAndOtherDirs) {
+  // Placement new, #include <new>, and std::function / make_unique / new in
+  // src/sim/cpu.h (outside the engine directory) are clean; the waived slab
+  // growth is a ratchet count.
+  const AnalysisResult r = Analyze(FixtureRoot("alloc_good"));
+  EXPECT_TRUE(r.errors.empty()) << "first: "
+                                << (r.errors.empty() ? "" : r.errors[0].message);
+  EXPECT_EQ(r.ratchet_counts, (std::map<std::string, int>{
+                                  {"waived.engine-alloc.sim.engine", 1}}));
+}
+
+TEST(UnorderedIter, BadFixtureFlagsSrcBenchAndTests) {
+  const AnalysisResult r = Analyze(FixtureRoot("unordered_bad"));
+  // bench/ and tests/ files get only the tree-wide hygiene passes: no
+  // layer-dag "maps to no layer" error for them.
+  EXPECT_EQ(r.errors.size(), 5u);
+  // A structured binding, a set, and a loop header split over two lines.
+  EXPECT_EQ(FlaggedLines(r.errors, "unordered-iter", "src/stats/tally.cc"),
+            (std::vector<int>{10, 11, 12}));
+  // A const-reference parameter.
+  EXPECT_EQ(FlaggedLines(r.errors, "unordered-iter", "bench/bench_tally.cc"),
+            (std::vector<int>{6}));
+  // Another rule's waiver token does not excuse the loop.
+  EXPECT_EQ(FlaggedLines(r.errors, "unordered-iter", "tests/tally_test.cc"),
+            (std::vector<int>{7}));
+  EXPECT_TRUE(HasFinding(r.errors, "unordered-iter", "src/stats/tally.cc",
+                         "unordered container 'seen'"));
+}
+
+TEST(UnorderedIter, GoodFixtureAllowsOrderedLoopsLookupsAndWaivedLoop) {
+  const AnalysisResult r = Analyze(FixtureRoot("unordered_good"));
+  EXPECT_TRUE(r.errors.empty()) << "first: "
+                                << (r.errors.empty() ? "" : r.errors[0].message);
+  EXPECT_EQ(r.ratchet_counts,
+            (std::map<std::string, int>{{"waived.unordered-iter.stats", 1}}));
+}
+
+TEST(IncludeGuard, BadFixtureFlagsWrongMissingAndUndefinedGuards) {
+  const AnalysisResult r = Analyze(FixtureRoot("guard_bad"));
+  EXPECT_EQ(r.errors.size(), 4u);
+  EXPECT_EQ(FlaggedLines(r.errors, "include-guard", "src/nvme/queue.h"),
+            (std::vector<int>{2}));
+  EXPECT_TRUE(HasFinding(r.errors, "include-guard", "src/nvme/queue.h",
+                         "must be DAREDEVIL_SRC_NVME_QUEUE_H_ (found "
+                         "NVME_QUEUE_H)"));
+  // The #ifndef is right but the #define names something else.
+  EXPECT_EQ(FlaggedLines(r.errors, "include-guard", "src/nvme/mismatch.h"),
+            (std::vector<int>{2}));
+  // No #ifndef at all: reported on line 1.
+  EXPECT_EQ(FlaggedLines(r.errors, "include-guard", "bench/bench_helpers.h"),
+            (std::vector<int>{1}));
+  EXPECT_TRUE(HasFinding(r.errors, "include-guard", "bench/bench_helpers.h",
+                         "DAREDEVIL_BENCH_BENCH_HELPERS_H_ (found none)"));
+  EXPECT_EQ(FlaggedLines(r.errors, "include-guard", "tests/test_helpers.h"),
+            (std::vector<int>{2}));
+}
+
+TEST(IncludeGuard, GoodFixtureSkipsSourcesTheFixtureCorpusAndWaivedHeader) {
+  // guard_good/tests/ddanalyze_fixtures/ holds an unguarded header with an
+  // unordered loop: analyzer input, never analyzed as part of the tree.
+  const AnalysisResult r = Analyze(FixtureRoot("guard_good"));
+  EXPECT_TRUE(r.errors.empty()) << "first: "
+                                << (r.errors.empty() ? "" : r.errors[0].message);
+  EXPECT_EQ(r.ratchet_counts,
+            (std::map<std::string, int>{{"waived.include-guard.nvme", 1}}));
+}
+
+TEST(HygieneRatchet, OneMoreWaivedPageLiteralFailsTheTreeBaseline) {
+  // A copy of the real src/ and baseline: clean as checked in, and a sixth
+  // waived site (a fifth waived 4096) is a ratchet regression.
+  namespace fs = std::filesystem;
+  const fs::path repo = fs::path(DDANALYZE_FIXTURE_DIR) / ".." / "..";
+  const fs::path tmp = fs::path(::testing::TempDir()) /
+                       ("ddanalyze_ratchet_" + std::to_string(getpid()));
+  fs::remove_all(tmp);
+  fs::create_directories(tmp / "tools");
+  fs::copy(repo / "src", tmp / "src", fs::copy_options::recursive);
+  fs::copy_file(repo / "tools" / "ddanalyze-baseline.txt",
+                tmp / "tools" / "ddanalyze-baseline.txt");
+  std::string err;
+  const std::map<std::string, int> baseline = ddanalyze::ReadBaseline(
+      (tmp / "tools" / "ddanalyze-baseline.txt").string(), &err);
+  ASSERT_TRUE(err.empty()) << err;
+
+  const AnalysisResult before = Analyze(tmp.string());
+  EXPECT_TRUE(before.errors.empty());
+  EXPECT_TRUE(
+      ddanalyze::CompareToBaseline(before.ratchet_counts, baseline).empty());
+
+  std::ofstream(tmp / "src" / "apps" / "kvstore.h", std::ios::app)
+      << "inline constexpr int kSixth = 4096;  // ddanalyze: units-ok(sixth)\n";
+  const AnalysisResult after = Analyze(tmp.string());
+  EXPECT_TRUE(after.errors.empty());
+  const std::vector<std::string> violations =
+      ddanalyze::CompareToBaseline(after.ratchet_counts, baseline);
+  ASSERT_EQ(violations.size(), 1u);
+  EXPECT_EQ(violations[0].rfind("waived.page-literal.apps: ", 0), 0u)
+      << violations[0];
+  fs::remove_all(tmp);
 }
 
 TEST(JsonEscape, ControlCharactersBecomeValidJsonEscapes) {
@@ -457,6 +620,32 @@ TEST(Lexer, CommentsStringsAndIncludesAreSeparated) {
   for (const ddanalyze::Token& t : lex.tokens) {
     EXPECT_NE(t.text, "Request");
   }
+}
+
+TEST(Lexer, DirectivesKeepTheirNamesAndPhysicalLines) {
+  const ddanalyze::LexedFile lex = ddanalyze::Lex(
+      "#ifndef GUARD_H_\n"
+      "#define GUARD_H_\n"
+      "#include <new>\n"
+      "#define TWICE(x) \\\n"
+      "  ((x) + (x))  // ddanalyze: units-ok(reason)\n"
+      "#endif\n");
+  ASSERT_EQ(lex.includes.size(), 1u);
+  ASSERT_EQ(lex.directives.size(), 4u);  // every directive but the include
+  EXPECT_EQ(lex.directives[0].keyword, "ifndef");
+  EXPECT_EQ(lex.directives[0].line, 1);
+  ASSERT_FALSE(lex.directives[0].tokens.empty());
+  EXPECT_EQ(lex.directives[0].tokens[0].text, "GUARD_H_");
+  EXPECT_EQ(lex.directives[1].keyword, "define");
+  const ddanalyze::Directive& twice = lex.directives[2];
+  EXPECT_EQ(twice.keyword, "define");
+  EXPECT_EQ(twice.line, 4);
+  EXPECT_EQ(twice.tokens.front().line, 4);  // TWICE
+  EXPECT_EQ(twice.tokens.back().line, 5);   // the continuation's last ')'
+  EXPECT_TRUE(lex.HasWaiver(5, "units"));
+  EXPECT_FALSE(lex.HasWaiver(4, "units"));
+  EXPECT_EQ(lex.directives[3].keyword, "endif");
+  EXPECT_TRUE(lex.tokens.empty());  // directives never reach the code tokens
 }
 
 }  // namespace

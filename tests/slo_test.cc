@@ -141,6 +141,8 @@ TEST(SloTrackerTest, StarvedTenantMissesItsObjective) {
   ASSERT_NE(r, nullptr);
   EXPECT_EQ(r->total(), 0u);
   EXPECT_FALSE(r->met);
+  // No request met the objective: conformance is 0, not a vacuous 100.
+  EXPECT_DOUBLE_EQ(r->conformance_pct, 0.0);
   EXPECT_TRUE(report.Find("L1")->met);
   JsonWriter w;
   report.AppendJson(w);
@@ -149,6 +151,11 @@ TEST(SloTrackerTest, StarvedTenantMissesItsObjective) {
   EXPECT_EQ(w.str().find("\"starved\""), w.str().rfind("\"starved\""))
       << "only the starved tenant carries the key";
   EXPECT_NE(report.ToTable().find("starved"), std::string::npos);
+
+  // Every tenant starved: the rollup is 0 as well.
+  SloTracker all_starved({TestSpec("L", 10, 100)}, 100, 200);
+  ASSERT_NE(all_starved.AddTenant("L0", "L", 1), nullptr);
+  EXPECT_DOUBLE_EQ(all_starved.Finalize().AggregateConformancePct(), 0.0);
 }
 
 TEST(SloTrackerTest, ExtremeTargetPercentileIsClampedNotDivByZero) {

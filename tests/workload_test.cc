@@ -101,7 +101,8 @@ TEST(ScenarioTest, ConservationAcrossStacks) {
     // (bounded by total iodepth).
     EXPECT_LE(r.total_issued - r.total_completed, 2u * 1 + 2u * 32)
         << StackKindName(kind);
-    EXPECT_GE(r.requests_submitted, r.requests_completed);
+    EXPECT_GE(r.Metric("stack.requests_submitted"),
+              r.Metric("stack.requests_completed"));
   }
 }
 
@@ -116,7 +117,7 @@ TEST(ScenarioTest, DeterministicForSameSeed) {
   EXPECT_EQ(a.Find("L")->ios, b.Find("L")->ios);
   EXPECT_EQ(a.Find("T")->bytes, b.Find("T")->bytes);
   EXPECT_EQ(a.P999Ns("L"), b.P999Ns("L"));
-  EXPECT_EQ(a.irqs_total, b.irqs_total);
+  EXPECT_EQ(a.Metric("device.irqs_total"), b.Metric("device.irqs_total"));
 }
 
 TEST(ScenarioTest, DifferentSeedsDiffer) {

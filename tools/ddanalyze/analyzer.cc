@@ -104,11 +104,16 @@ void CheckLayers(const std::vector<SourceFile>& files,
 
 std::vector<std::pair<std::string, std::string>> ListPasses() {
   return {
-      {"scan", "read + lex src/**/*.{h,cc,cpp,hpp}"},
+      {"scan", "read + lex {src,bench,tests}/**/*.{h,cc,cpp,hpp}"},
       {"layer-dag", "include edges must follow the layer table; no cycles"},
       {"pooled-escape", "pooled Request pointers must not outlive delivery"},
       {"shard-ownership", "stored mutable aliases of shard roots by layer"},
       {"rng-discipline", "all randomness through the seeded per-shard Rng"},
+      {"bare-assert", "src/: DD_CHECK instead of assert() and <cassert>"},
+      {"page-literal", "src/: no raw 4096; derive bytes from kPageBytes"},
+      {"engine-alloc", "src/sim/engine/: no heap allocation"},
+      {"unordered-iter", "no range-for over an unordered_* container"},
+      {"include-guard", "headers carry the DAREDEVIL_<PATH>_H_ guard"},
       {"tick-units", "raw integers into tick-typed parameters (ratchet)"},
       {"global-state", "mutable static-storage state (ratchet)"},
       {"callgraph", "function/call-site index for the observer passes"},
@@ -121,7 +126,8 @@ std::vector<std::pair<std::string, std::string>> ListPasses() {
 
 AnalysisResult Analyze(const std::string& root) {
   AnalysisResult result;
-  std::vector<SourceFile> files;
+  std::vector<SourceFile> files;   // src/: every pass
+  std::vector<SourceFile> others;  // bench/, tests/: tree-wide hygiene only
 
   // Runs one named step, timing it and attributing any findings it appends.
   auto timed = [&result](const std::string& name, std::vector<Finding>* errs,
@@ -144,25 +150,34 @@ AnalysisResult Analyze(const std::string& root) {
   };
 
   timed("scan", nullptr, nullptr, [&] {
-    const fs::path src = fs::path(root) / "src";
-    if (fs::exists(src)) {
-      for (const auto& entry : fs::recursive_directory_iterator(src)) {
+    for (const char* dir : {"src", "bench", "tests"}) {
+      const fs::path top = fs::path(root) / dir;
+      if (!fs::exists(top)) {
+        continue;
+      }
+      for (const auto& entry : fs::recursive_directory_iterator(top)) {
         if (!entry.is_regular_file() || !IsSourcePath(entry.path())) {
+          continue;
+        }
+        SourceFile f;
+        f.rel_path = fs::relative(entry.path(), root).generic_string();
+        // The fixture corpus is deliberately rule-breaking analyzer input.
+        if (f.rel_path.rfind("tests/ddanalyze_fixtures/", 0) == 0) {
           continue;
         }
         std::ifstream in(entry.path());
         std::stringstream buf;
         buf << in.rdbuf();
-        SourceFile f;
-        f.rel_path = fs::relative(entry.path(), root).generic_string();
         f.lex = Lex(buf.str());
-        files.push_back(std::move(f));
+        (dir == std::string("src") ? files : others).push_back(std::move(f));
       }
     }
-    std::sort(files.begin(), files.end(),
-              [](const SourceFile& a, const SourceFile& b) {
-                return a.rel_path < b.rel_path;
-              });
+    for (std::vector<SourceFile>* set : {&files, &others}) {
+      std::sort(set->begin(), set->end(),
+                [](const SourceFile& a, const SourceFile& b) {
+                  return a.rel_path < b.rel_path;
+                });
+    }
   });
 
   timed("layer-dag", &result.errors, nullptr,
@@ -183,6 +198,28 @@ AnalysisResult Analyze(const std::string& root) {
       CheckRngDiscipline(f, &result.errors);
     }
   });
+  // Hygiene passes over the files whose path starts with `prefix` ("" =
+  // bench/ and tests/ too).
+  using HygieneCheck = void (*)(const SourceFile&, std::vector<Finding>*,
+                                std::vector<Finding>*);
+  auto hygiene = [&](const char* name, const std::string& prefix,
+                     HygieneCheck check) {
+    timed(name, &result.errors, &result.ratchet, [&] {
+      for (const std::vector<SourceFile>* set : {&files, &others}) {
+        for (const SourceFile& f : *set) {
+          if (f.rel_path.compare(0, prefix.size(), prefix) == 0) {
+            check(f, &result.errors, &result.ratchet);
+          }
+        }
+      }
+    });
+  };
+  hygiene("bare-assert", "src/", CheckBareAssert);
+  hygiene("page-literal", "src/", CheckPageLiteral);
+  hygiene("engine-alloc", "src/sim/engine/", CheckEngineAlloc);
+  hygiene("unordered-iter", "", CheckUnorderedIter);
+  hygiene("include-guard", "", CheckIncludeGuard);
+
   timed("tick-units", nullptr, &result.ratchet, [&] {
     const TickSymbolTable symbols = BuildTickSymbols(files);
     for (const SourceFile& f : files) {
@@ -244,6 +281,8 @@ std::map<std::string, int> ReadBaseline(const std::string& path,
 std::string FormatBaseline(const std::map<std::string, int>& counts) {
   std::ostringstream out;
   out << "# ddanalyze ratchet baseline, per rule and layer:\n"
+         "#   waived.<rule>.<layer>     waived source-hygiene sites\n"
+         "#                             (bare-assert, page-literal, ...)\n"
          "#   tick-units.<layer>        raw-integer sites flowing into\n"
          "#                             tick-typed parameters\n"
          "#   global-state.<layer>      mutable static-storage state (shared\n"

@@ -1,5 +1,6 @@
-// ddanalyze: token-level architecture checks for the simulator tree
-// (DESIGN.md §7 and §10). Six rule families:
+// ddanalyze: token-level static checks for the simulator tree (DESIGN.md
+// §7, §10 and §12), the one owner of every code-shape rule the compiler
+// cannot check:
 //
 //   layer-dag     — includes must follow the layer table in layers.cc;
 //                   cycles and undeclared (skip) edges are errors, as are
@@ -68,6 +69,12 @@
 //                   other reads taint the enclosing statement. Hard errors;
 //                   waive with `// ddanalyze: taint-ok(reason)`; unresolved
 //                   callees ratchet as "taint-unresolved.<layer>".
+//
+// Source-hygiene suite (tools/ddanalyze/hygiene.cc) — bare-assert,
+// page-literal and engine-alloc over src/, unordered-iter and include-guard
+// over src/, bench/ and tests/ (minus this corpus, tests/ddanalyze_fixtures/).
+// Every other pass reads src/ only. Waived hygiene sites are ratcheted as
+// "waived.<rule>.<layer>", so waivers can only burn down.
 #ifndef DAREDEVIL_TOOLS_DDANALYZE_ANALYZER_H_
 #define DAREDEVIL_TOOLS_DDANALYZE_ANALYZER_H_
 
@@ -81,8 +88,8 @@
 namespace ddanalyze {
 
 struct Finding {
-  // "layer-dag", "pooled-escape", "tick-units", "global-state",
-  // "shard-ownership", "rng-discipline".
+  // The rule name ("layer-dag", "page-literal", ...); ratchet sites use
+  // their counter prefix ("tick-units", "waived.page-literal", ...).
   std::string rule;
   std::string file;  // repo-relative path
   int line = 0;
@@ -129,6 +136,21 @@ void CheckShardOwnership(const SourceFile& file, const std::string& layer,
 // time-derived seed sources at the identifier level.
 void CheckRngDiscipline(const SourceFile& file, std::vector<Finding>* out);
 
+// Source-hygiene rules for one file (scoped by the driver). Each emits at
+// most one finding per line: an error, or a "waived.<rule>" ratchet site
+// when the line carries the rule's waiver token.
+void CheckBareAssert(const SourceFile& file, std::vector<Finding>* errors,
+                     std::vector<Finding>* ratchet);
+void CheckPageLiteral(const SourceFile& file, std::vector<Finding>* errors,
+                      std::vector<Finding>* ratchet);
+void CheckEngineAlloc(const SourceFile& file, std::vector<Finding>* errors,
+                      std::vector<Finding>* ratchet);
+void CheckUnorderedIter(const SourceFile& file, std::vector<Finding>* errors,
+                        std::vector<Finding>* ratchet);
+// Headers only (.h/.hpp); other files are skipped.
+void CheckIncludeGuard(const SourceFile& file, std::vector<Finding>* errors,
+                       std::vector<Finding>* ratchet);
+
 // --- Driver ---------------------------------------------------------------
 
 // One entry per pass the driver ran, in execution order, with wall time —
@@ -146,11 +168,10 @@ struct PassStat {
 std::vector<std::pair<std::string, std::string>> ListPasses();
 
 struct AnalysisResult {
-  // layer-dag + pooled-escape + shard-ownership + rng-discipline +
-  // observer-purity + fingerprint-taint: must be empty for the tree to pass.
+  // Hard errors of every rule: must be empty for the tree to pass.
   std::vector<Finding> errors;
-  // tick-units + global-state + purity-unresolved + taint-unresolved sites
-  // (informational, ratcheted).
+  // tick-units + global-state + purity-unresolved + taint-unresolved +
+  // waived hygiene sites (not errors, but ratcheted).
   std::vector<Finding> ratchet;
   // "<rule>.<layer>" -> count; layers with zero sites are omitted.
   std::map<std::string, int> ratchet_counts;
@@ -158,11 +179,12 @@ struct AnalysisResult {
   std::vector<PassStat> passes;
 };
 
-// Scans <root>/src/**/*.{h,cc} and runs all rules.
+// Scans <root>/{src,bench,tests}/**/*.{h,cc,cpp,hpp} (minus
+// tests/ddanalyze_fixtures/) and runs all rules.
 AnalysisResult Analyze(const std::string& root);
 
-// Baseline files share ddlint's format: '#' comments and "<key> <count>"
-// lines. Returns empty map and sets *err when the file cannot be read.
+// Baseline file format: '#' comments and "<key> <count>" lines. Returns an
+// empty map and sets *err when the file cannot be read.
 std::map<std::string, int> ReadBaseline(const std::string& path,
                                         std::string* err);
 std::string FormatBaseline(const std::map<std::string, int>& counts);

@@ -36,16 +36,30 @@ void ScanWaivers(const std::string& body, int line, LexedFile* out) {
   }
 }
 
-// Parses a preprocessor directive line (already gathered, continuations
-// folded). Records #include targets; everything else is ignored.
+// Parses a preprocessor directive (gathered logical line; `\` continuations
+// kept as newlines so line numbers stay physical). Records #include targets;
+// every other directive is lexed into a Directive.
 void ParseDirective(const std::string& text, int line, LexedFile* out) {
   std::size_t p = 0;
   while (p < text.size() && (text[p] == ' ' || text[p] == '\t' || text[p] == '#')) ++p;
-  const std::string kw = "include";
-  if (text.compare(p, kw.size(), kw) != 0) {
+  std::size_t kw_end = p;
+  while (kw_end < text.size() && IsIdentChar(text[kw_end])) ++kw_end;
+  const std::string keyword = text.substr(p, kw_end - p);
+  if (keyword != "include") {
+    LexedFile rest = Lex(text.substr(kw_end));
+    for (Token& t : rest.tokens) {
+      t.line += line - 1;
+    }
+    for (const auto& [rest_line, rules] : rest.waivers) {
+      out->waivers[rest_line + line - 1].insert(rules.begin(), rules.end());
+    }
+    out->directives.push_back({keyword, line, std::move(rest.tokens)});
     return;
   }
-  p += kw.size();
+  // A trailing comment on the include (the idiomatic spot for a layer
+  // waiver) is part of the directive text; scan it here.
+  ScanWaivers(text, line, out);
+  p = kw_end;
   while (p < text.size() && (text[p] == ' ' || text[p] == '\t')) ++p;
   if (p >= text.size()) {
     return;
@@ -97,6 +111,7 @@ LexedFile Lex(const std::string& content) {
       std::string text;
       while (i < n) {
         if (content[i] == '\\' && peek(1) == '\n') {
+          text.push_back('\n');
           i += 2;
           ++line;
           continue;
@@ -108,9 +123,6 @@ LexedFile Lex(const std::string& content) {
         ++i;
       }
       ParseDirective(text, start_line, &out);
-      // A trailing comment on the directive (the idiomatic spot for a layer
-      // waiver) is part of the consumed logical line; scan it here.
-      ScanWaivers(text, start_line, &out);
       continue;
     }
     at_line_start = false;

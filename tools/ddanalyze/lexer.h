@@ -2,9 +2,10 @@
 //
 // It is not a compiler front end: it produces identifier / number / punctuator
 // tokens with line numbers, strips comments and string literals, records
-// preprocessor directives (so the include-graph builder can read them), and
-// extracts `// ddanalyze: <rule>-ok(reason)` waiver comments. That is enough
-// for the token-level architecture rules and keeps the tool dependency-free.
+// preprocessor directives (so the include-graph builder and the include-guard
+// rule can read them), and extracts `// ddanalyze: <rule>-ok(reason)` waiver
+// comments. That is enough for the token-level rules and keeps the tool
+// dependency-free.
 #ifndef DAREDEVIL_TOOLS_DDANALYZE_LEXER_H_
 #define DAREDEVIL_TOOLS_DDANALYZE_LEXER_H_
 
@@ -35,9 +36,20 @@ struct IncludeDirective {
   bool angled = false;
 };
 
+// Any other directive: its keyword ("ifndef", "define", "if", ...) and the
+// rest of its logical line, lexed. Tokens keep their physical line numbers
+// across `\` continuations. The include-guard rule reads the #ifndef and
+// #define names; the literal and allocation rules also scan macro bodies.
+struct Directive {
+  std::string keyword;
+  int line = 0;
+  std::vector<Token> tokens;
+};
+
 struct LexedFile {
   std::vector<Token> tokens;
   std::vector<IncludeDirective> includes;
+  std::vector<Directive> directives;
   // line -> waiver rule names ("escape", "layer", "tick") present on it.
   std::map<int, std::set<std::string>> waivers;
 
